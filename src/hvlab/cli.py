@@ -10,6 +10,7 @@ error, and 1 means bad input or a failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,7 +37,7 @@ def _cmd_derive(args) -> int:
     try:
         g = _resolve_gate(args.gate)
         report = derivation_report(g)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args.format, render_derivation_text)
@@ -110,8 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first request and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.handler(args)
 
 

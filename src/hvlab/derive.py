@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qstate import BasisLabel, GateMatrix, apply, classify, eigenvector, matrix_digest, tensor
+from .qstate import BasisLabel, GateMatrix, apply, basis_products, classify, matrix_digest
 from .triplets import (
     AXES,
     SignMonomial,
@@ -95,23 +95,12 @@ def component_vars(arity: int) -> tuple[Var, ...]:
     return tuple((q, a) for q in range(1, arity + 1) for a in AXES)
 
 
-def product_labels(arity: int):
-    """All basis products: 6 labels for one qubit, 36 ordered pairs for two."""
-    if arity == 1:
-        return tuple((l,) for l in BasisLabel)
-    return tuple((l1, l2) for l1 in BasisLabel for l2 in BasisLabel)
-
-
 def enumerate_mappings(g: GateMatrix) -> MappingTable:
     """Classify the gate's image of every basis product, in fixed order."""
     arity = 1 if g.dim == 2 else 2
     preserved = []
     escaped = []
-    for labels in product_labels(arity):
-        if arity == 1:
-            vin = eigenvector(labels[0])
-        else:
-            vin = tensor(eigenvector(labels[0]), eigenvector(labels[1]))
+    for labels, vin in basis_products(arity):
         result = classify(apply(g, vin))
         if result is None:
             escaped.append(labels)

@@ -10,6 +10,7 @@ anti-correlation predicate used by the entanglement experiment.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -189,6 +190,24 @@ def eigenvector(label: BasisLabel) -> Ket:
     return _EIGENVECTORS[label]
 
 
+@functools.cache
+def basis_products(arity: int) -> tuple[tuple[tuple[BasisLabel, ...], Ket], ...]:
+    """Every basis product with its ket, in fixed enumeration order.
+
+    One qubit gives the 6 eigenstates, two qubits the 36 ordered pairs with
+    qubit 1 major.  The table is built on first use and shared afterwards.
+    """
+    if arity == 1:
+        return tuple(((l,), eigenvector(l)) for l in BasisLabel)
+    if arity == 2:
+        return tuple(
+            ((l1, l2), tensor(eigenvector(l1), eigenvector(l2)))
+            for l1 in BasisLabel
+            for l2 in BasisLabel
+        )
+    raise ValueError(f"arity must be 1 or 2, got {arity}")
+
+
 def classify(v: Ket) -> BasisLabel | tuple[BasisLabel, BasisLabel] | None:
     """Identify v within the spin eigenbasis, up to a scalar.
 
@@ -203,10 +222,9 @@ def classify(v: Ket) -> BasisLabel | tuple[BasisLabel, BasisLabel] | None:
             if proportional(eigenvector(label), v):
                 return label
         return None
-    for l1 in BasisLabel:
-        for l2 in BasisLabel:
-            if proportional(tensor(eigenvector(l1), eigenvector(l2)), v):
-                return (l1, l2)
+    for labels, product in basis_products(2):
+        if proportional(product, v):
+            return labels
     return None
 
 
@@ -233,16 +251,18 @@ def predicts_opposite(v: Ket, axis: str) -> bool:
     """
     if v.dim != 4:
         raise ValueError("the anti-correlation predicate needs a two-qubit state")
-    p = pauli(axis)
-    m = kron(p, p)
-    return inner(v, apply(m, v)) == -inner(v, v)
-
-
-def pauli(axis: str) -> GateMatrix:
     key = axis.upper()
     if key not in ("X", "Y", "Z"):
         raise ValueError(f"not a measurement axis: {axis!r}")
-    return GATES[key]
+    m = _pair_observable(key)
+    return inner(v, apply(m, v)) == -inner(v, v)
+
+
+@functools.cache
+def _pair_observable(key: str) -> GateMatrix:
+    """s(x)s for the Pauli matrix s named by key, built on first use."""
+    p = GATES[key]
+    return kron(p, p)
 
 
 def gate(name: str) -> GateMatrix:

@@ -80,6 +80,14 @@ def test_derive_input_errors(capsys, tmp_path):
     assert code == 1 and "unitary" in err
 
 
+def test_derive_deeply_nested_json_is_a_one_line_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(deep))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_derive_from_gate_file(capsys, tmp_path):
     path = tmp_path / "phase.json"
     doc = gate_to_json(GATES["S"])
@@ -162,6 +170,29 @@ def test_output_is_deterministic(capsys, argv):
     first = run(capsys, *argv, "--format", "json")
     second = run(capsys, *argv, "--format", "json")
     assert first == second
+
+
+def test_reused_parser_carries_no_state_between_requests(capsys):
+    def request(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    requests = [
+        ("epr", "--phase-shift"),
+        ("derive", "H", "--format", "json"),
+        ("contradiction",),
+        ("epr",),
+        ("no-such-command",),
+        ("derive", "H"),
+    ]
+    first = {argv: request(argv) for argv in requests}
+    assert [first[argv][0] for argv in requests] == [0, 0, 0, 1, ("SystemExit", 2), 0]
+    for argv in reversed(requests + requests):
+        assert request(argv) == first[argv], argv
 
 
 def test_module_entry_point():

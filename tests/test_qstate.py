@@ -1,5 +1,6 @@
 """Exact state-vector oracle: eigenbasis, gates, classification, predictions."""
 
+import itertools
 import json
 
 import pytest
@@ -92,6 +93,38 @@ def test_classify_pairs():
 def test_classify_factor_order():
     assert classify(Ket.of(0, 1, 0, -1)) == (BasisLabel.X_MINUS, BasisLabel.Z_MINUS)
     assert classify(Ket.of(0, 0, 1, -1)) == (BasisLabel.Z_MINUS, BasisLabel.X_MINUS)
+
+
+def reference_classify(v):
+    """Brute-force scan of every tensor/proportional pair, built afresh each call."""
+    matches = [
+        (l1, l2)
+        for l1 in LABELS
+        for l2 in LABELS
+        if proportional(tensor(eigenvector(l1), eigenvector(l2)), v)
+    ]
+    assert len(matches) <= 1
+    return matches[0] if matches else None
+
+
+def test_classify_pairs_agrees_with_brute_force_reference():
+    products = [tensor(eigenvector(l1), eigenvector(l2)) for l1 in LABELS for l2 in LABELS]
+    gates = [
+        GATES["CNOT"],
+        kron(GATES["H"], GATES["I"]),
+        kron(GATES["S"], GATES["T"]),
+        kron(GATES["T"], GATES["I"]),
+    ]
+    images = [[apply(g, v) for v in products] for g in gates]
+    assert [sum(classify(v) is not None for v in row) for row in images] == [20, 36, 12, 12]
+    scaled = [[v.scaled(s) for v in products] for s in (OMEGA, ONE + OMEGA)]
+    for v in itertools.chain(*images, *scaled):
+        assert classify(v) == reference_classify(v), v
+    off_basis = [Ket.of(1, 2), Ket.of(ONE, OMEGA), Ket.of(ONE, ONE + OMEGA)]
+    for factor in off_basis:
+        for label in LABELS:
+            for v in (tensor(factor, eigenvector(label)), tensor(eigenvector(label), factor)):
+                assert classify(v) is None and reference_classify(v) is None, v
 
 
 @given(st.sampled_from(LABELS), st.sampled_from(LABELS), scalars, scalars)
