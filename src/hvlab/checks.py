@@ -12,10 +12,10 @@ are injectable so tests can confirm that a corrupted rule is caught.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclotomic import OMEGA, CycInt
-from .derive import derive, enumerate_mappings, representation_str
+from .derive import enumerate_mappings, extract_constraints, merge, representation_str
 from .qstate import (
     GATES,
     BasisLabel,
@@ -32,8 +32,7 @@ from .qstate import (
 from .triplets import SymTriplet, all_triplets, cnot, h, p_half_pi
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -69,8 +68,11 @@ def representation_checks(h_fn=h, p_fn=p_half_pi, cnot_fn=cnot) -> list[CheckRes
     )
     results.append(CheckResult("cnot involution", hits == total, f"{hits}/{total}"))
 
+    # One mapping table per gate feeds both its derivation and its table check.
+    tables = {name: enumerate_mappings(GATES[name]) for name in ("H", "S", "CNOT")}
     for gate_name, fn, arity in (("H", h_fn, 1), ("S", p_fn, 1), ("CNOT", cnot_fn, 2)):
-        rep = derive(GATES[gate_name])
+        table = tables[gate_name]
+        rep = merge(extract_constraints(table), table.arity)
         if arity == 1:
             builtin = (fn(SymTriplet.generic(1)),)
         else:
@@ -98,7 +100,7 @@ def representation_checks(h_fn=h, p_fn=p_half_pi, cnot_fn=cnot) -> list[CheckRes
         CheckResult("symbolic/concrete agreement", coherent == cases, f"{coherent}/{cases}")
     )
 
-    table = enumerate_mappings(GATES["CNOT"])
+    table = tables["CNOT"]
     preserved = len(table.preserved)
     total_products = preserved + len(table.escaped)
     results.append(
@@ -110,7 +112,7 @@ def representation_checks(h_fn=h, p_fn=p_half_pi, cnot_fn=cnot) -> list[CheckRes
     )
 
     for gate_name in ("H", "S"):
-        table = enumerate_mappings(GATES[gate_name])
+        table = tables[gate_name]
         results.append(
             CheckResult(
                 f"{gate_name} preserves the eigenbasis",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .checks import checks_report, oracle_checks, render_checks_text, representation_checks
@@ -123,4 +124,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        try:
+            code = main()
+        finally:
+            # Flush here, also when argparse exits, so a closed stdout is
+            # caught below rather than at interpreter exit.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away: send what is left to /dev/null, so the
+        # flush at exit cannot fail again, and report the failure.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

@@ -11,20 +11,22 @@ silently wrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CycInt:
-    """Cyclotomic integer ``a + b*w + c*w^2 + d*w^3`` with ``w = exp(i*pi/4)``."""
+class CycInt(namedtuple("CycInt", "a b c d", defaults=(0, 0, 0))):
+    """Cyclotomic integer ``a + b*w + c*w^2 + d*w^3`` with ``w = exp(i*pi/4)``.
 
-    a: int
-    b: int = 0
-    c: int = 0
-    d: int = 0
+    An immutable tuple of the four coefficients: equality and hashing are
+    those of the coefficient tuple.
+    """
 
-    def __post_init__(self) -> None:
-        for coeff in (self.a, self.b, self.c, self.d):
+    __slots__ = ()
+
+    # Validation runs in __init__, once per instance: perfbench/tracing.py
+    # counts ring-element builds through this method.
+    def __init__(self, a: int, b: int = 0, c: int = 0, d: int = 0) -> None:
+        for coeff in self:
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficients must be plain ints, got {coeff!r}")
 
@@ -50,9 +52,8 @@ class CycInt:
         return CycInt.coerce(other) + (-self)
 
     def __mul__(self, other: CycInt | int) -> CycInt:
-        o = CycInt.coerce(other)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = o.a, o.b, o.c, o.d
+        a, b, c, d = self
+        e, f, g, h = CycInt.coerce(other)
         # w^(j+k) picks up a minus sign whenever j+k reaches 4.
         return CycInt(
             a * e - b * h - c * g - d * f,

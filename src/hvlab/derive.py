@@ -14,7 +14,7 @@ less is reported as partial or undetermined rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qstate import BasisLabel, GateMatrix, apply, basis_products, classify, matrix_digest
 from .triplets import (
@@ -32,8 +32,7 @@ class ConflictingConstraints(Exception):
     """Two constraints force a single output component to opposite signs."""
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """If every premise sign holds, the conclusion sign must hold after the gate."""
 
     premise: frozenset[tuple[Var, int]]
@@ -48,8 +47,7 @@ class Constraint:
         return f"{left} -> {var_name(v)}'={'+1' if s > 0 else '-1'}"
 
 
-@dataclass(frozen=True)
-class MappingTable:
+class MappingTable(NamedTuple):
     """Gate action on basis products: preserved rows plus the escapes."""
 
     arity: int
@@ -57,31 +55,27 @@ class MappingTable:
     escaped: tuple[tuple[BasisLabel, ...], ...]
 
 
-@dataclass(frozen=True)
-class TotalComponent:
+class TotalComponent(NamedTuple):
     """Output component forced on every assignment, as a sign monomial."""
 
     monomial: SignMonomial
     kind = "total"
 
 
-@dataclass(frozen=True)
-class PartialComponent:
+class PartialComponent(NamedTuple):
     """Output component forced only on some assignments: (index, sign) pairs."""
 
     forced: tuple[tuple[int, int], ...]
     kind = "partial"
 
 
-@dataclass(frozen=True)
-class UndeterminedComponent:
+class UndeterminedComponent(NamedTuple):
     """No constraint ever settles this output component."""
 
     kind = "undetermined"
 
 
-@dataclass(frozen=True)
-class NonMonomialComponent:
+class NonMonomialComponent(NamedTuple):
     """Forced everywhere, yet the truth table is not a signed monomial."""
 
     values: tuple[int, ...]
@@ -181,8 +175,7 @@ def merge(constraints, arity: int) -> FunctionalRep:
     return FunctionalRep(arity, tuple(components))
 
 
-@dataclass(frozen=True)
-class FunctionalRep:
+class FunctionalRep(NamedTuple):
     """Per-component results of a derivation, in (qubit, axis) order."""
 
     arity: int

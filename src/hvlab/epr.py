@@ -13,7 +13,7 @@ pre-assigned signs, nor any distribution over them, can serve both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qstate import bell_psi_minus, predicts_opposite
 from .triplets import (
@@ -126,8 +126,7 @@ def check_claim2() -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BranchResult:
+class BranchResult(NamedTuple):
     """One branch: final pair, per-axis conditions, satisfying assignments."""
 
     phase_shift: bool
@@ -140,8 +139,7 @@ class BranchResult:
         return "phase-shift" if self.phase_shift else "no-phase-shift"
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
+class ContradictionReport(NamedTuple):
     """Both branches plus their joint satisfiability over all 16 assignments."""
 
     branches: tuple[BranchResult, BranchResult]

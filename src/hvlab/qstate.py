@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 
@@ -49,18 +49,17 @@ class BasisLabel(Enum):
         raise ValueError(f"not a basis label: {text!r}")
 
 
-@dataclass(frozen=True)
-class Ket:
+class Ket(namedtuple("Ket", "entries")):
     """Unnormalized state vector of dimension 2 or 4; never the zero vector."""
 
-    entries: tuple[CycInt, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.entries) not in (2, 4):
-            raise ValueError(f"kets have dimension 2 or 4, got {len(self.entries)}")
-        if any(not isinstance(e, CycInt) for e in self.entries):
+    def __init__(self, entries: tuple[CycInt, ...]) -> None:
+        if len(entries) not in (2, 4):
+            raise ValueError(f"kets have dimension 2 or 4, got {len(entries)}")
+        if any(not isinstance(e, CycInt) for e in entries):
             raise TypeError("ket entries must be CycInt values")
-        if all(e.is_zero() for e in self.entries):
+        if all(e.is_zero() for e in entries):
             raise ValueError("the zero vector is not a state")
 
     @property
@@ -97,14 +96,33 @@ def _gram_scale(entries: tuple[tuple[CycInt, ...], ...]) -> CycInt | None:
     return scale
 
 
-@dataclass(frozen=True)
-class GateMatrix:
-    """Square matrix over CycInt, unitary up to a positive real scale."""
+class GateMatrix(namedtuple("GateMatrix", "entries name", defaults=(None,))):
+    """Square matrix over CycInt, unitary up to a positive real scale.
 
-    entries: tuple[tuple[CycInt, ...], ...]
-    name: str | None = field(default=None, compare=False)
+    The name is a label only: equality and hashing use the entries alone.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, entries: tuple[tuple[CycInt, ...], ...], name: str | None = None) -> None:
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries != other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def __post_init__(self) -> None:
+        # perfbench/tracing.py counts matrix builds through this method, so it
+        # keeps its name and runs exactly once per instance, from __init__.
         dim = len(self.entries)
         if dim not in (2, 4) or any(len(row) != dim for row in self.entries):
             raise ValueError("gate matrices must be square of dimension 2 or 4")
@@ -306,7 +324,7 @@ def gate_from_json(obj) -> GateMatrix:
     if not isinstance(name, str):
         raise ValueError("gate name must be a string")
     dim = obj["dim"]
-    if dim not in (2, 4):
+    if not isinstance(dim, int) or dim not in (2, 4):
         raise ValueError("gate dimension must be 2 or 4")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim:

@@ -11,8 +11,8 @@ functions run unchanged on concrete and symbolic triplets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from typing import Iterator, NamedTuple
 
 AXES = ("x", "y", "z")
 
@@ -29,20 +29,18 @@ def _var_key(v: Var) -> tuple[int, int]:
     return (v[0], AXES.index(v[1]))
 
 
-@dataclass(frozen=True)
-class SignMonomial:
+class SignMonomial(namedtuple("SignMonomial", "sign vars")):
     """A signed product of distinct +-1 variables, e.g. -y1.x2.
 
     The empty product with sign s is the constant s.  Multiplication
     cancels repeated variables (v*v = 1), so monomials form a group.
     """
 
-    sign: int
-    vars: frozenset[Var]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be -1 or +1, got {self.sign!r}")
+    def __init__(self, sign: int, vars: frozenset[Var]) -> None:
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be -1 or +1, got {sign!r}")
 
     @classmethod
     def constant(cls, sign: int) -> SignMonomial:
@@ -79,16 +77,13 @@ class SignMonomial:
         return self.render()
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(namedtuple("Triplet", "x y z")):
     """Concrete hidden state of one qubit: a sign per measurement axis."""
 
-    x: int
-    y: int
-    z: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for axis, value in zip(AXES, (self.x, self.y, self.z)):
+    def __init__(self, x: int, y: int, z: int) -> None:
+        for axis, value in zip(AXES, self):
             if value not in (-1, 1):
                 raise ValueError(f"{axis} component must be -1 or +1, got {value!r}")
 
@@ -102,8 +97,7 @@ class Triplet:
         return f"⟨{fmt(self.x)}, {fmt(self.y)}, {fmt(self.z)}⟩"
 
 
-@dataclass(frozen=True)
-class SymTriplet:
+class SymTriplet(NamedTuple):
     """Symbolic hidden state: one sign monomial per measurement axis."""
 
     x: SignMonomial

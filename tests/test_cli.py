@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, pinned strings, format equivalence."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -78,6 +79,14 @@ def test_derive_input_errors(capsys, tmp_path):
     )
     code, _, err = run(capsys, "derive", str(non_unitary))
     assert code == 1 and "unitary" in err
+
+    float_dim = tmp_path / "float_dim.json"
+    doc = gate_to_json(GATES["H"])
+    doc["dim"] = 2.0
+    float_dim.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(float_dim))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_derive_deeply_nested_json_is_a_one_line_error(capsys, tmp_path):
@@ -204,3 +213,41 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "no-go confirmed at desk scale" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [("derive", "CNOT", "--format", "json"), ("--help",)], ids=" ".join
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # Buffered stdout, as in a shell: the failed write may surface at flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hvlab", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            encoding="utf-8",
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no traceback, no "Exception ignored" line
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hvlab.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    loaded = proc.stdout.split()
+    assert "hvlab.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded

@@ -6,6 +6,7 @@ derivation or the contradiction experiment does without a timer.
 
 import pytest
 
+from hvlab.checks import representation_checks
 from hvlab.cyclotomic import CycInt
 from hvlab.derive import derive
 from hvlab.epr import contradiction_report
@@ -41,3 +42,9 @@ def test_multiplies_per_two_qubit_derivation(multiplies):
 
 def test_multiplies_per_contradiction_report(multiplies):
     assert warm_count(multiplies, contradiction_report) <= 100
+
+
+def test_multiplies_per_representation_check_suite(multiplies):
+    # The H, S and CNOT mapping tables need 4 330 between them; enumerating
+    # each table twice doubles that.
+    assert warm_count(multiplies, representation_checks) <= 4_400

@@ -243,6 +243,7 @@ def test_gate_json_validation():
         [],
         {k: v for k, v in good.items() if k != "entries"},
         {**good, "dim": 3},
+        {**good, "dim": 2.0},
         {**good, "entries": good["entries"][:1]},
         {**good, "entries": [[[1, 0, 0], [0, 0, 0, 0]], good["entries"][1]]},
         {**good, "entries": [[[True, 0, 0, 0], [0, 0, 0, 0]], good["entries"][1]]},
