@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from ._tuples import refused
+
 
 class CycInt(namedtuple("CycInt", "a b c d", defaults=(0, 0, 0))):
     """Cyclotomic integer ``a + b*w + c*w^2 + d*w^3`` with ``w = exp(i*pi/4)``.
@@ -22,10 +24,14 @@ class CycInt(namedtuple("CycInt", "a b c d", defaults=(0, 0, 0))):
     """
 
     __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = refused("<", "<=", ">", ">=")
 
     # Validation runs in __init__, once per instance: perfbench/tracing.py
-    # counts ring-element builds through this method.
+    # counts ring-element builds through this method.  Four plain ints, the
+    # case of every ring operation, pass on one type test each.
     def __init__(self, a: int, b: int = 0, c: int = 0, d: int = 0) -> None:
+        if type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            return
         for coeff in self:
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficients must be plain ints, got {coeff!r}")
@@ -36,24 +42,31 @@ class CycInt(namedtuple("CycInt", "a b c d", defaults=(0, 0, 0))):
             return value
         return CycInt(value)
 
+    # The operators unpack a CycInt operand directly and call coerce only
+    # for anything else.  Subtraction adds a negated copy through __add__,
+    # so the op counts see it as an addition.
     def __add__(self, other: CycInt | int) -> CycInt:
-        o = CycInt.coerce(other)
-        return CycInt(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        a, b, c, d = self
+        e, f, g, h = other if type(other) is CycInt else CycInt.coerce(other)
+        return CycInt(a + e, b + f, c + g, d + h)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycInt:
-        return CycInt(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self
+        return CycInt(-a, -b, -c, -d)
 
     def __sub__(self, other: CycInt | int) -> CycInt:
-        return self + (-CycInt.coerce(other))
+        e, f, g, h = other if type(other) is CycInt else CycInt.coerce(other)
+        return self + CycInt(-e, -f, -g, -h)
 
     def __rsub__(self, other: CycInt | int) -> CycInt:
-        return CycInt.coerce(other) + (-self)
+        a, b, c, d = self
+        return CycInt.coerce(other) + CycInt(-a, -b, -c, -d)
 
     def __mul__(self, other: CycInt | int) -> CycInt:
         a, b, c, d = self
-        e, f, g, h = CycInt.coerce(other)
+        e, f, g, h = other if type(other) is CycInt else CycInt.coerce(other)
         # w^(j+k) picks up a minus sign whenever j+k reaches 4.
         return CycInt(
             a * e - b * h - c * g - d * f,
@@ -74,7 +87,8 @@ class CycInt(namedtuple("CycInt", "a b c d", defaults=(0, 0, 0))):
 
     def conjugate(self) -> CycInt:
         """Complex conjugate: w -> -w^3, w^2 -> -w^2, w^3 -> -w."""
-        return CycInt(self.a, -self.d, -self.c, -self.b)
+        a, b, c, d = self
+        return CycInt(a, -d, -c, -b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0

@@ -11,12 +11,13 @@ anti-correlation predicate used by the entanglement experiment.
 from __future__ import annotations
 
 import functools
-import hashlib
+import itertools
 import json
 from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 
+from ._tuples import refused
 from .cyclotomic import IM, OMEGA, ONE, ZERO, CycInt
 
 
@@ -53,13 +54,17 @@ class Ket(namedtuple("Ket", "entries")):
     """Unnormalized state vector of dimension 2 or 4; never the zero vector."""
 
     __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = refused("<", "<=", ">", ">=")
+    __add__, __radd__, __mul__, __rmul__ = refused("+", "+", "*", "*")
 
     def __init__(self, entries: tuple[CycInt, ...]) -> None:
-        if len(entries) not in (2, 4):
-            raise ValueError(f"kets have dimension 2 or 4, got {len(entries)}")
-        if any(not isinstance(e, CycInt) for e in entries):
-            raise TypeError("ket entries must be CycInt values")
-        if all(e.is_zero() for e in entries):
+        n = len(entries)
+        if n != 2 and n != 4:
+            raise ValueError(f"kets have dimension 2 or 4, got {n}")
+        for e in entries:
+            if not isinstance(e, CycInt):
+                raise TypeError("ket entries must be CycInt values")
+        if entries.count(ZERO) == n:
             raise ValueError("the zero vector is not a state")
 
     @property
@@ -84,8 +89,8 @@ def _gram_scale(entries: tuple[tuple[CycInt, ...], ...]) -> CycInt | None:
     for i in range(dim):
         for j in range(dim):
             acc = ZERO
-            for k in range(dim):
-                acc = acc + entries[k][i].conjugate() * entries[k][j]
+            for row in entries:
+                acc = acc + row[i].conjugate() * row[j]
             if i != j:
                 if not acc.is_zero():
                     return None
@@ -103,6 +108,8 @@ class GateMatrix(namedtuple("GateMatrix", "entries name", defaults=(None,))):
     """
 
     __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = refused("<", "<=", ">", ">=")
+    __add__, __radd__, __mul__, __rmul__ = refused("+", "+", "*", "*")
 
     def __init__(self, entries: tuple[tuple[CycInt, ...], ...], name: str | None = None) -> None:
         self.__post_init__()
@@ -150,15 +157,20 @@ class GateMatrix(namedtuple("GateMatrix", "entries name", defaults=(None,))):
 
 def apply(g: GateMatrix, v: Ket) -> Ket:
     """Exact matrix-vector product."""
-    if g.dim != v.dim:
-        raise ValueError(f"dimension mismatch: gate {g.dim}, ket {v.dim}")
+    rows, ve = g.entries, v.entries
+    if len(rows) != len(ve):
+        raise ValueError(f"dimension mismatch: gate {len(rows)}, ket {len(ve)}")
     out = []
-    for row in g.entries:
+    for row in rows:
         acc = ZERO
-        for m, e in zip(row, v.entries):
+        for m, e in zip(row, ve):
             acc = acc + m * e
         out.append(acc)
     return Ket(tuple(out))
+
+
+# The index pairs i < j of a 2- or 4-vector, in the order proportional tries them.
+_INDEX_PAIRS = {n: tuple(itertools.combinations(range(n), 2)) for n in (2, 4)}
 
 
 def proportional(v: Ket, w: Ket) -> bool:
@@ -168,21 +180,21 @@ def proportional(v: Ket, w: Ket) -> bool:
     construction and the scalar ring has no zero divisors, so equal cross
     products force matching zero patterns as well.
     """
-    if v.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
-    n = v.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v.entries[i] * w.entries[j] != v.entries[j] * w.entries[i]:
-                return False
+    ve, we = v.entries, w.entries
+    if len(ve) != len(we):
+        raise ValueError(f"dimension mismatch: {len(ve)} vs {len(we)}")
+    for i, j in _INDEX_PAIRS[len(ve)]:
+        if ve[i] * we[j] != ve[j] * we[i]:
+            return False
     return True
 
 
 def tensor(v: Ket, w: Ket) -> Ket:
     """Kronecker product; qubit 1 is the tensor-major factor."""
-    if v.dim != 2 or w.dim != 2:
+    ve, we = v.entries, w.entries
+    if len(ve) != 2 or len(we) != 2:
         raise ValueError("tensor takes two dimension-2 kets")
-    return Ket(tuple(v.entries[i] * w.entries[j] for i in range(2) for j in range(2)))
+    return Ket((ve[0] * we[0], ve[0] * we[1], ve[1] * we[0], ve[1] * we[1]))
 
 
 def kron(a: GateMatrix, b: GateMatrix, name: str | None = None) -> GateMatrix:
@@ -248,10 +260,11 @@ def classify(v: Ket) -> BasisLabel | tuple[BasisLabel, BasisLabel] | None:
 
 def inner(v: Ket, w: Ket) -> CycInt:
     """Hermitian inner product <v|w>, conjugating the left argument."""
-    if v.dim != w.dim:
-        raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
+    ve, we = v.entries, w.entries
+    if len(ve) != len(we):
+        raise ValueError(f"dimension mismatch: {len(ve)} vs {len(we)}")
     acc = ZERO
-    for a, b in zip(v.entries, w.entries):
+    for a, b in zip(ve, we):
         acc = acc + a.conjugate() * b
     return acc
 
@@ -298,6 +311,10 @@ def matrix_digest(g: GateMatrix) -> str:
         "entries": [[[e.a, e.b, e.c, e.d] for e in row] for row in g.entries],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
+    # Imported here: only derive hashes a matrix, and OpenSSL's _hashlib
+    # would otherwise load on every start.
+    import hashlib
+
     return hashlib.sha256(blob).hexdigest()
 
 

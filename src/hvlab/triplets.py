@@ -14,6 +14,8 @@ import itertools
 from collections import namedtuple
 from typing import Iterator, NamedTuple
 
+from ._tuples import refused
+
 AXES = ("x", "y", "z")
 
 # A hidden variable is one axis component of one qubit's triplet.
@@ -37,6 +39,9 @@ class SignMonomial(namedtuple("SignMonomial", "sign vars")):
     """
 
     __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = refused("<", "<=", ">", ">=")
+    # __mul__ below takes another monomial only.
+    __add__, __radd__, __rmul__ = refused("+", "+", "*")
 
     def __init__(self, sign: int, vars: frozenset[Var]) -> None:
         if sign not in (-1, 1):
@@ -81,6 +86,8 @@ class Triplet(namedtuple("Triplet", "x y z")):
     """Concrete hidden state of one qubit: a sign per measurement axis."""
 
     __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = refused("<", "<=", ">", ">=")
+    __add__, __radd__, __mul__, __rmul__ = refused("+", "+", "*", "*")
 
     def __init__(self, x: int, y: int, z: int) -> None:
         for axis, value in zip(AXES, self):
@@ -103,6 +110,9 @@ class SymTriplet(NamedTuple):
     x: SignMonomial
     y: SignMonomial
     z: SignMonomial
+
+    __lt__, __le__, __gt__, __ge__ = refused("<", "<=", ">", ">=")
+    __add__, __radd__, __mul__, __rmul__ = refused("+", "+", "*", "*")
 
     @classmethod
     def generic(cls, qubit: int) -> SymTriplet:

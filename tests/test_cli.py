@@ -251,3 +251,5 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     loaded = proc.stdout.split()
     assert "hvlab.cli" in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    # Only derive hashes a matrix; the other subcommands start without OpenSSL.
+    assert "hashlib" not in loaded and "_hashlib" not in loaded

@@ -3,7 +3,9 @@
 Multiplication is cross-checked against an independent complex-float
 model of the ring, and the exact sign test for real elements against a
 float evaluation of a + b*sqrt(2); both stay far above float error for
-the coefficient ranges used.
+the coefficient ranges used.  Every ring operation is also checked
+exactly, at coefficients far beyond 64 bits, against reference
+arithmetic on plain coefficient tuples written here.
 """
 
 import cmath
@@ -127,3 +129,94 @@ def test_positivity_matches_float_model(a, b):
     assert u.is_real()
     expected = a + b * math.sqrt(2) > 0 and not (a == 0 and b == 0)
     assert u.is_positive_real() == expected
+
+
+wide = st.integers(min_value=-(2**200), max_value=2**200)
+wide_cycints = st.builds(CycInt, wide, wide, wide, wide)
+
+
+def ref_mul(x, y):
+    """Schoolbook product of coefficient tuples, reduced by w^4 = -1."""
+    out = [0] * 4
+    for j, p in enumerate(x):
+        for k, q in enumerate(y):
+            if j + k < 4:
+                out[j + k] += p * q
+            else:
+                out[j + k - 4] -= p * q
+    return tuple(out)
+
+
+def ref_conjugate(x):
+    """Send each w^k to w^(8-k) = w^-k, then reduce by w^4 = -1."""
+    out = [0] * 4
+    for k, p in enumerate(x):
+        e = (8 - k) % 8
+        if e < 4:
+            out[e] += p
+        else:
+            out[e - 4] -= p
+    return tuple(out)
+
+
+def exact(value: CycInt) -> tuple:
+    """The coefficient tuple, after checking the value is a CycInt of plain ints."""
+    assert type(value) is CycInt
+    assert all(type(coeff) is int for coeff in value)
+    return tuple(value)
+
+
+@given(wide_cycints, wide_cycints, wide)
+def test_ring_operations_match_exact_reference(u, v, n):
+    x, y, m = tuple(u), tuple(v), (n, 0, 0, 0)
+    assert exact(u * v) == ref_mul(x, y)
+    assert exact(u * n) == exact(n * u) == ref_mul(x, m)
+    assert exact(u + v) == tuple(p + q for p, q in zip(x, y))
+    assert exact(u + n) == exact(n + u) == tuple(p + q for p, q in zip(x, m))
+    assert exact(u - v) == tuple(p - q for p, q in zip(x, y))
+    assert exact(u - n) == tuple(p - q for p, q in zip(x, m))
+    assert exact(n - u) == tuple(q - p for p, q in zip(x, m))
+    assert exact(-u) == tuple(-p for p in x)
+    assert exact(u.conjugate()) == ref_conjugate(x)
+
+
+class Int(int):
+    """An int subclass: accepted as a coefficient, like any int but bool."""
+
+
+@pytest.mark.parametrize(
+    "bad, shown", [(True, "True"), (False, "False"), (1.0, "1.0"), (2.5, "2.5"), ("1", "'1'")]
+)
+@pytest.mark.parametrize("position", range(4))
+def test_coefficient_validation_messages(bad, shown, position):
+    coeffs = [1, 2, 3, 4]
+    coeffs[position] = bad
+    with pytest.raises(TypeError) as info:
+        CycInt(*coeffs)
+    assert str(info.value) == f"coefficients must be plain ints, got {shown}"
+
+
+def test_int_subclass_coefficients_are_accepted():
+    u = CycInt(Int(3), 0, Int(-1))
+    assert u == CycInt(3, 0, -1) and type(u.a) is Int
+    assert u * OMEGA == CycInt(0, 3, 0, -1)
+    assert u + Int(2) == CycInt(5, 0, -1)
+    assert Int(2) * u == CycInt(6, 0, -2)
+
+
+@pytest.mark.parametrize(
+    "misuse",
+    [
+        lambda: CycInt(1) * True,
+        lambda: True * CycInt(1),
+        lambda: CycInt(1) + False,
+        lambda: False + CycInt(1),
+        lambda: CycInt(1) - True,
+        lambda: True - CycInt(1),
+        lambda: CycInt(1) * 1.0,
+        lambda: CycInt(1) + "1",
+    ],
+)
+def test_bool_and_non_int_operands_are_rejected(misuse):
+    with pytest.raises(TypeError):
+        misuse()

@@ -53,12 +53,22 @@ def test_eigenvectors_are_pauli_eigenstates():
 
 
 def test_ket_validation():
-    with pytest.raises(ValueError):
-        Ket.of(0, 0)
-    with pytest.raises(ValueError):
-        Ket.of(1, 0, 0)
-    with pytest.raises(TypeError):
-        Ket((1, 0))
+    zero = "the zero vector is not a state"
+    not_ring = "ket entries must be CycInt values"
+    for call, error, message in (
+        (lambda: Ket.of(0, 0), ValueError, zero),
+        (lambda: Ket.of(0, 0, 0, 0), ValueError, zero),
+        (lambda: Ket.of(1, 0, 0), ValueError, "kets have dimension 2 or 4, got 3"),
+        (lambda: Ket((1, 0)), TypeError, not_ring),
+        (lambda: Ket((ONE, 1)), TypeError, not_ring),
+        # The entry types are checked before the zero test.
+        (lambda: Ket((CycInt(0), 0)), TypeError, not_ring),
+        (lambda: Ket((CycInt(0), CycInt(0), CycInt(0), (0, 0, 0, 0))), TypeError, not_ring),
+    ):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    assert Ket((CycInt(0), CycInt(0), CycInt(0), ONE)).entries[3] == ONE
 
 
 def test_proportional():

@@ -110,3 +110,56 @@ def test_gate_matrix_equality_and_hash_ignore_the_name():
     assert renamed.name == "other" and unnamed.name is None
     assert GATES["H"] != GATES["X"]
     assert GATES["H"] != GATES["H"].entries
+
+
+ORDERINGS = {
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+@pytest.mark.parametrize("symbol", ORDERINGS)
+@pytest.mark.parametrize(
+    "cls", [CycInt, Ket, GateMatrix, Triplet, SymTriplet, SignMonomial], ids=lambda cls: cls.__name__
+)
+def test_value_types_have_no_order(cls, symbol):
+    # Tuples order lexicographically; a ring element, state or sign does not.
+    value = CASES[cls][0]()
+    compare = ORDERINGS[symbol]
+    for left, right in ((value, value), (value, tuple(value)), (tuple(value), value)):
+        with pytest.raises(TypeError):
+            compare(left, right)
+
+
+NON_RING_VALUES = {
+    Triplet: (lambda: Triplet(1, 1, 1), lambda: Triplet(-1, 1, 1)),
+    SymTriplet: (lambda: SymTriplet.generic(1), lambda: SymTriplet.generic(2)),
+    SignMonomial: (lambda: SignMonomial.variable((1, "x")), lambda: SignMonomial.constant(-1)),
+    Ket: (lambda: Ket.of(1, 0), lambda: Ket.of(0, 1)),
+    GateMatrix: (lambda: GATES["H"], lambda: GATES["X"]),
+}
+
+
+@pytest.mark.parametrize("cls", NON_RING_VALUES, ids=lambda cls: cls.__name__)
+def test_non_ring_values_refuse_tuple_concatenation_and_repetition(cls):
+    make_first, make_second = NON_RING_VALUES[cls]
+    first, second = make_first(), make_second()
+    for misuse in (
+        lambda: first + second,
+        lambda: first + tuple(second),
+        lambda: tuple(first) + second,
+        lambda: first * 2,
+        lambda: 2 * first,
+    ):
+        with pytest.raises(TypeError):
+            misuse()
+
+
+def test_ring_and_monomial_products_are_kept():
+    assert CycInt(1, 2) + CycInt(3) == CycInt(4, 2)
+    assert 2 * OMEGA == OMEGA * 2 == CycInt(0, 2)
+    x1 = SignMonomial.variable((1, "x"))
+    assert x1 * SignMonomial.constant(-1) == -x1
+    assert x1 * x1 == SignMonomial.constant(1)
