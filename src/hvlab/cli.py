@@ -41,6 +41,9 @@ def _cmd_derive(args) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     _emit(report, args.format, render_derivation_text)
     return 0 if report["all_total"] else 2
 

@@ -7,9 +7,13 @@ image is again a basis product up to a scalar, and escapes.  Each
 preserved row becomes implication constraints on hidden-variable signs:
 the classified input components form the premise, each classified output
 component a conclusion.  ``merge`` then asks, for every output component
-and every sign assignment, which value the constraints force.  A
-component forced everywhere is interpolated as a sign monomial; anything
-less is reported as partial or undetermined rather than guessed.
+and every sign assignment, which value the constraints force.  It works
+on assignment indices (bit ``j`` is the ``j``-th input variable, set for
++1): each premise compiles once to a bit mask and value, and each
+component keeps one list of forced-sign flags per index.  A component
+forced everywhere is interpolated as a sign monomial by bit flips and
+parities; anything less is reported as partial or undetermined rather
+than guessed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .triplets import (
     SymTriplet,
     Triplet,
     Var,
-    enumerate_assignments,
     var_name,
 )
 
@@ -120,56 +123,97 @@ def extract_constraints(table: MappingTable) -> tuple[Constraint, ...]:
     return tuple(out)
 
 
-def _interpolate(variables, assignments, forced):
+# Flags of one assignment index: which signs some constraint forces there.
+_PLUS, _MINUS, _BOTH = 1, 2, 3
+_SIGN = (0, 1, -1)  # the forced sign of a flag value without _BOTH
+
+
+def _parity(bits: int) -> int:
+    """+1 when `bits` has an even number of set bits, -1 when odd."""
+    return -1 if bits.bit_count() & 1 else 1
+
+
+def _interpolate(variables, values):
     """Fit a sign monomial to a fully forced truth table, or report failure.
 
-    A variable belongs to the monomial exactly when flipping it alone flips
-    the forced value on every assignment; the sign is the value at the
-    all-(+1) assignment.  The fit is then verified against the whole table.
+    ``values[index]`` is the sign forced at assignment ``index``.  A
+    variable belongs to the monomial exactly when flipping its bit flips
+    the value at every index; the sign is the value at the all-ones (all
+    +1) index.  The monomial's value at ``index`` is that sign times -1 for
+    each member bit clear in ``index``, and the fit is verified against the
+    whole table.
     """
-    members = []
-    for j, v in enumerate(variables):
-        if all(forced[index] != forced[index ^ (1 << j)] for index, _ in assignments):
-            members.append(v)
-    sign = forced[(1 << len(variables)) - 1]
-    monomial = SignMonomial(sign, frozenset(members))
-    for index, assignment in assignments:
-        if monomial.evaluate(assignment) != forced[index]:
-            return NonMonomialComponent(tuple(forced[i] for i, _ in assignments))
-    return TotalComponent(monomial)
+    members = 0
+    for j in range(len(variables)):
+        bit = 1 << j
+        if all(values[index] != values[index ^ bit] for index in range(len(values))):
+            members |= bit
+    sign = values[-1]
+    for index, value in enumerate(values):
+        if sign * _parity(members & ~index) != value:
+            return NonMonomialComponent(tuple(values))
+    chosen = frozenset(v for j, v in enumerate(variables) if members >> j & 1)
+    return TotalComponent(SignMonomial(sign, chosen))
+
+
+def _premise_mask(premise, bits) -> tuple[int, int] | None:
+    """The premise as a (mask, value) pair over the assignment index.
+
+    The premise holds at ``index`` exactly when ``index & mask == value``.
+    A premise that pins one variable to both signs holds nowhere: None.
+    """
+    mask = value = 0
+    for v, s in premise:
+        bit = bits[v]
+        want = bit if s > 0 else 0
+        if mask & bit and value & bit != want:
+            return None
+        mask |= bit
+        value |= want
+    return mask, value
 
 
 def merge(constraints, arity: int) -> FunctionalRep:
     """Combine constraints into per-component functions of the input signs.
 
-    For each output component, every assignment of the input variables is
-    checked against every constraint whose premise it satisfies.  Opposite
-    forced signs raise :class:`ConflictingConstraints`; agreement on all,
-    some, or no assignments yields a total, partial, or undetermined
-    component respectively.
+    Assignments are numbered as in :func:`~hvlab.triplets.enumerate_assignments`:
+    bit ``j`` of the index is the ``j``-th input variable, set for +1.  Each
+    constraint is compiled once to a (mask, value) pair and marks the sign
+    it forces in its component's flags at every index where
+    ``index & mask == value``; an empty premise applies everywhere, and
+    constraints on anything other than the arity's components are ignored.
+    Scanning components in variable order and indices in ascending order,
+    opposite forced signs raise :class:`ConflictingConstraints`; agreement
+    on all, some, or no assignments yields a total, partial, or
+    undetermined component respectively.
     """
     variables = component_vars(arity)
-    assignments = tuple(enumerate_assignments(variables))
+    size = 1 << len(variables)
+    bits = {v: 1 << j for j, v in enumerate(variables)}
+    flags = {w: [0] * size for w in variables}
+    for c in constraints:
+        w, s = c.conclusion
+        compiled = _premise_mask(c.premise, bits) if w in flags else None
+        if compiled is None:
+            continue
+        mask, value = compiled
+        table = flags[w]
+        flag = _PLUS if s > 0 else _MINUS
+        for index in range(size):
+            if index & mask == value:
+                table[index] |= flag
     components = []
-    for w in variables:
-        relevant = [c for c in constraints if c.conclusion[0] == w]
-        forced: dict[int, int] = {}
-        for index, assignment in assignments:
-            values = {
-                c.conclusion[1]
-                for c in relevant
-                if all(assignment[v] == s for v, s in c.premise)
-            }
-            if len(values) > 1:
-                raise ConflictingConstraints(
-                    f"{var_name(w)}' is forced to both signs at assignment {index}"
-                )
-            if values:
-                forced[index] = values.pop()
-        if len(forced) == len(assignments):
-            components.append(_interpolate(variables, assignments, forced))
-        elif forced:
-            components.append(PartialComponent(tuple(sorted(forced.items()))))
+    for w, table in flags.items():
+        if _BOTH in table:
+            raise ConflictingConstraints(
+                f"{var_name(w)}' is forced to both signs at assignment {table.index(_BOTH)}"
+            )
+        if 0 not in table:
+            components.append(_interpolate(variables, [_SIGN[f] for f in table]))
+        elif any(table):
+            components.append(
+                PartialComponent(tuple((i, _SIGN[f]) for i, f in enumerate(table) if f))
+            )
         else:
             components.append(UndeterminedComponent())
     return FunctionalRep(arity, tuple(components))

@@ -340,6 +340,10 @@ def gate_from_json(obj) -> GateMatrix:
     name = obj["name"]
     if not isinstance(name, str):
         raise ValueError("gate name must be a string")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, valid in JSON text
+        raise ValueError("gate name must be encodable as UTF-8") from None
     dim = obj["dim"]
     if not isinstance(dim, int) or dim not in (2, 4):
         raise ValueError("gate dimension must be 2 or 4")
@@ -363,10 +367,18 @@ def gate_from_json(obj) -> GateMatrix:
     return GateMatrix(tuple(rows), name or None)
 
 
+# Above the largest document that json.loads turns into in-limit integers:
+# 16 entries x 4 coefficients x 4 300 digits is about 0.28 MB.
+MAX_GATE_FILE_BYTES = 1 << 20
+
+
 def load_gate(path: str | Path) -> GateMatrix:
-    """Load a gate matrix from a JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return gate_from_json(json.loads(text))
+    """Load a gate matrix from a JSON file of at most MAX_GATE_FILE_BYTES."""
+    with open(path, "rb") as f:
+        data = f.read(MAX_GATE_FILE_BYTES + 1)
+    if len(data) > MAX_GATE_FILE_BYTES:
+        raise ValueError(f"gate file is larger than {MAX_GATE_FILE_BYTES} bytes")
+    return gate_from_json(json.loads(data.decode("utf-8")))
 
 
 _EIGENVECTORS = {

@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
+from hvlab import cli
 from hvlab.checks import render_checks_text
 from hvlab.cli import main
 from hvlab.derive import render_derivation_text
 from hvlab.epr import render_contradiction_text, render_epr_text
-from hvlab.qstate import GATES, gate_to_json
+from hvlab.qstate import GATES, MAX_GATE_FILE_BYTES, gate_to_json
 
 
 def run(capsys, *argv):
@@ -95,6 +96,57 @@ def test_derive_deeply_nested_json_is_a_one_line_error(capsys, tmp_path):
     code, out, err = run(capsys, "derive", str(deep))
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_derive_rejects_a_name_that_is_not_utf8(tmp_path, fmt):
+    path = tmp_path / "surrogate.json"
+    doc = gate_to_json(GATES["H"])
+    doc["name"] = "\ud800"  # a lone surrogate: valid JSON, not encodable
+    path.write_text(json.dumps(doc), encoding="ascii")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvlab", "derive", str(path), "--format", fmt],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: gate name must be encodable as UTF-8\n"
+
+
+def test_derive_reads_a_gate_file_of_exactly_the_cap(capsys, tmp_path):
+    text = json.dumps(gate_to_json(GATES["H"]))
+    path = tmp_path / "padded.json"
+    path.write_text(text + " " * (MAX_GATE_FILE_BYTES - len(text)), encoding="utf-8")
+    assert path.stat().st_size == MAX_GATE_FILE_BYTES
+    code, out, err = run(capsys, "derive", str(path))
+    assert code == 0 and err == ""
+    assert "h: ⟨x,y,z⟩ ↦ ⟨z, -y, x⟩" in out
+
+
+def test_derive_rejects_a_gate_file_over_the_cap(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_bytes(b" " * (MAX_GATE_FILE_BYTES + 1))
+    code, out, err = run(capsys, "derive", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: gate file is larger than {MAX_GATE_FILE_BYTES} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_derive_reads_an_endless_file_only_up_to_the_cap(capsys):
+    code, out, err = run(capsys, "derive", "/dev/zero")
+    assert code == 1 and out == ""
+    assert err == f"error: gate file is larger than {MAX_GATE_FILE_BYTES} bytes\n"
+
+
+def test_derive_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_gate", exhausted)
+    code, out, err = run(capsys, "derive", "gate.json")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_derive_from_gate_file(capsys, tmp_path):

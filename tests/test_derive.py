@@ -1,13 +1,17 @@
 """Derivation engine: mapping tables, constraints, merging, robustness."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvlab.cyclotomic import CycInt
 from hvlab.derive import (
     ConflictingConstraints,
     Constraint,
+    FunctionalRep,
     NonMonomialComponent,
     PartialComponent,
     TotalComponent,
@@ -21,7 +25,16 @@ from hvlab.derive import (
     render_derivation_text,
 )
 from hvlab.qstate import GATES, matrix_digest
-from hvlab.triplets import SignMonomial, SymTriplet, all_triplets, cnot, h, p_half_pi
+from hvlab.triplets import (
+    SignMonomial,
+    SymTriplet,
+    all_triplets,
+    cnot,
+    enumerate_assignments,
+    h,
+    p_half_pi,
+    var_name,
+)
 
 # Expected gate action on basis products, frozen from the exact oracle.
 H_TABLE = {
@@ -212,6 +225,137 @@ def test_merge_flags_non_monomial_truth_tables():
     x = rep.component((1, "x"))
     assert isinstance(x, NonMonomialComponent)
     assert x.values.count(1) == 2  # z1 free doubles the single true row
+
+
+# The dictionary-per-assignment merge that the index-mask merge replaced,
+# kept verbatim as the reference it must agree with.
+
+
+def reference_interpolate(variables, assignments, forced):
+    """Fit a sign monomial to a fully forced truth table, or report failure.
+
+    A variable belongs to the monomial exactly when flipping it alone flips
+    the forced value on every assignment; the sign is the value at the
+    all-(+1) assignment.  The fit is then verified against the whole table.
+    """
+    members = []
+    for j, v in enumerate(variables):
+        if all(forced[index] != forced[index ^ (1 << j)] for index, _ in assignments):
+            members.append(v)
+    sign = forced[(1 << len(variables)) - 1]
+    monomial = SignMonomial(sign, frozenset(members))
+    for index, assignment in assignments:
+        if monomial.evaluate(assignment) != forced[index]:
+            return NonMonomialComponent(tuple(forced[i] for i, _ in assignments))
+    return TotalComponent(monomial)
+
+
+def reference_merge(constraints, arity: int) -> FunctionalRep:
+    """Combine constraints into per-component functions of the input signs.
+
+    For each output component, every assignment of the input variables is
+    checked against every constraint whose premise it satisfies.  Opposite
+    forced signs raise :class:`ConflictingConstraints`; agreement on all,
+    some, or no assignments yields a total, partial, or undetermined
+    component respectively.
+    """
+    variables = component_vars(arity)
+    assignments = tuple(enumerate_assignments(variables))
+    components = []
+    for w in variables:
+        relevant = [c for c in constraints if c.conclusion[0] == w]
+        forced: dict[int, int] = {}
+        for index, assignment in assignments:
+            values = {
+                c.conclusion[1]
+                for c in relevant
+                if all(assignment[v] == s for v, s in c.premise)
+            }
+            if len(values) > 1:
+                raise ConflictingConstraints(
+                    f"{var_name(w)}' is forced to both signs at assignment {index}"
+                )
+            if values:
+                forced[index] = values.pop()
+        if len(forced) == len(assignments):
+            components.append(reference_interpolate(variables, assignments, forced))
+        elif forced:
+            components.append(PartialComponent(tuple(sorted(forced.items()))))
+        else:
+            components.append(UndeterminedComponent())
+    return FunctionalRep(arity, tuple(components))
+
+
+def random_constraints(pick, arity):
+    """A random constraint set; ``pick(lo, hi)`` draws an integer in [lo, hi].
+
+    Up to two truth tables come first: one constraint for each sign pattern
+    of 1 or 2 input variables, all concluding on one output variable, so
+    that components are often forced everywhere, as monomials or not.  Then
+    come up to six loose constraints with premises of 0 to 3 pairs, which
+    may pin one variable to both signs and often clash with the tables.
+    Conclusions range over both qubits and a third one, so some name no
+    component of the arity and must be ignored.
+    """
+    inputs = component_vars(arity)
+    outputs = component_vars(2) + ((3, "x"),)
+
+    def sign():
+        return pick(0, 1) * 2 - 1
+
+    def variable(choices):
+        return choices[pick(0, len(choices) - 1)]
+
+    constraints = []
+    for _ in range(pick(0, 2)):
+        target = variable(outputs)
+        support = sorted({variable(inputs) for _ in range(pick(1, 2))})
+        for signs in itertools.product((-1, 1), repeat=len(support)):
+            constraints.append(Constraint(frozenset(zip(support, signs)), (target, sign())))
+    for _ in range(pick(0, 6)):
+        premise = frozenset((variable(inputs), sign()) for _ in range(pick(0, 3)))
+        constraints.append(Constraint(premise, (variable(outputs), sign())))
+    return tuple(constraints)
+
+
+def merge_outcome(merge_fn, constraints, arity):
+    """The merged representation, or the type and message of the error."""
+    try:
+        return merge_fn(constraints, arity)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(st.data(), st.sampled_from([1, 2]))
+def test_merge_agrees_with_the_reference(data, arity):
+    constraints = random_constraints(lambda lo, hi: data.draw(st.integers(lo, hi)), arity)
+    assert merge_outcome(merge, constraints, arity) == merge_outcome(
+        reference_merge, constraints, arity
+    )
+
+
+def test_random_constraint_sets_reach_every_outcome():
+    # The draws above reach conflicts and every component kind often, total
+    # components with variables included: check that on a fixed sample, and
+    # compare with the reference there too.
+    rng = random.Random(5)
+    seen = dict.fromkeys(
+        ("conflict", "total", "monomial", "partial", "undetermined", "non-monomial"), 0
+    )
+    for trial in range(600):
+        arity = 1 + trial % 2
+        constraints = random_constraints(rng.randint, arity)
+        outcome = merge_outcome(merge, constraints, arity)
+        assert outcome == merge_outcome(reference_merge, constraints, arity)
+        if isinstance(outcome, FunctionalRep):
+            for comp in outcome.components:
+                seen[comp.kind] += 1
+                seen["monomial"] += comp.kind == "total" and bool(comp.monomial.vars)
+        else:
+            assert outcome[0] is ConflictingConstraints
+            seen["conflict"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_derive_is_scale_invariant():

@@ -1,4 +1,4 @@
-"""Deterministic cost gates: ring multiplications per warm call.
+"""Deterministic cost gates: ring multiplications and other calls per warm call.
 
 Counts do not depend on the hardware, so they can bound the work a
 derivation or the contradiction experiment does without a timer.
@@ -11,20 +11,21 @@ from hvlab.cyclotomic import OMEGA, ONE, CycInt
 from hvlab.derive import derive
 from hvlab.epr import contradiction_report
 from hvlab.qstate import GATES
+from hvlab.triplets import SignMonomial
 
 
-def count_calls(monkeypatch, method):
-    """Count calls of a CycInt method, under each of its aliases, while the test runs."""
+def count_calls(monkeypatch, method, cls=CycInt):
+    """Count calls of a method of `cls`, under each of its aliases, while the test runs."""
     calls = [0]
-    original = CycInt.__dict__[method]
+    original = cls.__dict__[method]
 
     def counted(self, *args, **kwargs):
         calls[0] += 1
         return original(self, *args, **kwargs)
 
-    for name, value in list(vars(CycInt).items()):
+    for name, value in list(vars(cls).items()):
         if value is original:
-            monkeypatch.setattr(CycInt, name, counted)
+            monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -49,6 +50,13 @@ def warm_count(calls, fn):
 
 def test_multiplies_per_two_qubit_derivation(multiplies):
     assert warm_count(multiplies, lambda: derive(GATES["CNOT"])) <= 4_400
+
+
+def test_merge_evaluates_no_sign_monomial(monkeypatch):
+    # merge fits monomials on assignment indices, by parity, so it evaluates
+    # none on an assignment dictionary (384 calls per CNOT derivation if it did).
+    evaluations = count_calls(monkeypatch, "evaluate", SignMonomial)
+    assert warm_count(evaluations, lambda: derive(GATES["CNOT"])) == 0
 
 
 def test_multiplies_per_contradiction_report(multiplies):
