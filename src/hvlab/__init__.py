@@ -18,8 +18,6 @@ from .epr import (
     check_claim2,
     contradiction_report,
     epr_report,
-    prepare_symbolic,
-    run_branch,
     run_contradiction,
 )
 from .qstate import (
@@ -36,9 +34,10 @@ from .qstate import (
     load_gate,
     predicts_opposite,
     proportional,
+    run_ket,
     separable,
     tensor,
 )
-from .triplets import SignMonomial, SymTriplet, Triplet, all_triplets, cnot, h, p_half_pi
+from .triplets import SignMonomial, SymTriplet, Triplet, all_triplets, cnot, h, p_half_pi, run
 
 __version__ = "0.1.0"

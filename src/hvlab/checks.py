@@ -3,10 +3,11 @@
 Two suites, both exhaustive. ``representation_checks`` confirms that the
 hand-written triplet rules are exactly what the derivation engine forces
 from the gate matrices, plus their algebraic laws (involutions, symbolic
-and concrete agreement).  ``oracle_checks`` exercises the state-vector
-side alone: unitarity scales, eigenbasis mappings, the entangling
-circuit, and the exact anti-correlation predicate.  The rule functions
-are injectable so tests can confirm that a corrupted rule is caught.
+and concrete agreement); it takes the rules as one mapping from gate name
+to rule function, so a test can pass a corrupted rule.  ``oracle_checks``
+exercises the state-vector side alone: unitarity scales, eigenbasis
+mappings, the experiment's no-shift circuit, and the exact
+anti-correlation predicate.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import NamedTuple
 
 from .cyclotomic import OMEGA, CycInt
 from .derive import enumerate_mappings, extract_constraints, merge, representation_str
+from .epr import NO_SHIFT
 from .qstate import (
     GATES,
     BasisLabel,
@@ -23,13 +25,27 @@ from .qstate import (
     bell_psi_minus,
     classify,
     eigenvector,
-    kron,
     predicts_opposite,
     proportional,
+    run_ket,
     separable,
     tensor,
 )
-from .triplets import SymTriplet, all_triplets, cnot, h, p_half_pi
+from .triplets import RULES, SymTriplet, all_triplets, assignment_index, run
+
+# Per gate of RULES: the power of its rule that must be the identity, and
+# the name of that check.
+_POWERS = {
+    "H": (2, "h involution"),
+    "S": (4, "p fourth-power identity"),
+    "CNOT": (2, "cnot involution"),
+}
+# Check name and expected (preserved, all) basis-product counts per gate.
+_PRESERVED = (
+    ("CNOT", "CNOT preserved product states", (20, 36)),
+    ("H", "H preserves the eigenbasis", (6, 6)),
+    ("S", "S preserves the eigenbasis", (6, 6)),
+)
 
 
 class CheckResult(NamedTuple):
@@ -38,89 +54,46 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _count(pairs) -> tuple[int, int]:
-    hits = 0
-    total = 0
-    for ok in pairs:
-        total += 1
-        hits += bool(ok)
-    return hits, total
+def representation_checks(rules=None) -> list[CheckResult]:
+    """Coherence of the triplet rules with algebra, derivation, and oracle.
 
-
-def representation_checks(h_fn=h, p_fn=p_half_pi, cnot_fn=cnot) -> list[CheckResult]:
-    """Coherence of the triplet rules with algebra, derivation, and oracle."""
-    results = []
-
-    hits, total = _count(h_fn(h_fn(t)) == t for t in all_triplets())
-    results.append(CheckResult("h involution", hits == total, f"{hits}/{total}"))
-
-    def p4(t):
-        for _ in range(4):
-            t = p_fn(t)
-        return t
-
-    hits, total = _count(p4(t) == t for t in all_triplets())
-    results.append(CheckResult("p fourth-power identity", hits == total, f"{hits}/{total}"))
-
-    hits, total = _count(
-        cnot_fn(*cnot_fn(a, b)) == (a, b)
-        for a, b in itertools.product(all_triplets(), repeat=2)
-    )
-    results.append(CheckResult("cnot involution", hits == total, f"{hits}/{total}"))
-
-    # One mapping table per gate feeds both its derivation and its table check.
-    tables = {name: enumerate_mappings(GATES[name]) for name in ("H", "S", "CNOT")}
-    for gate_name, fn, arity in (("H", h_fn, 1), ("S", p_fn, 1), ("CNOT", cnot_fn, 2)):
-        table = tables[gate_name]
+    ``rules`` maps each gate name of :data:`~hvlab.triplets.RULES` to its
+    rule function, as :func:`~hvlab.triplets.run` takes it; the default is
+    the builtin rules.
+    """
+    powers, derivations = [], []
+    coherent = cases = 0
+    tables = {}
+    for name in RULES:
+        # One mapping table per gate feeds both its derivation and its table check.
+        table = tables[name] = enumerate_mappings(GATES[name])
+        qubits = tuple(range(1, table.arity + 1))
+        step = ((name, qubits),)
         rep = merge(extract_constraints(table), table.arity)
-        if arity == 1:
-            builtin = (fn(SymTriplet.generic(1)),)
-        else:
-            builtin = fn(SymTriplet.generic(1), SymTriplet.generic(2))
-        ok = rep.all_total and rep.sym_triplets() == tuple(builtin)
-        detail = representation_str(gate_name.lower(), rep) if rep.all_total else "not total"
-        results.append(CheckResult(f"{gate_name} derivation matches builtin rule", ok, detail))
+        symbolic = run(step, tuple(SymTriplet.generic(q) for q in qubits), rules)[-1]
+        ok = rep.all_total and rep.sym_triplets() == symbolic
+        detail = representation_str(name.lower(), rep) if rep.all_total else "not total"
+        derivations.append(CheckResult(f"{name} derivation matches builtin rule", ok, detail))
 
-    sym1 = SymTriplet.generic(1)
-    sym2 = SymTriplet.generic(2)
-    coherent = 0
-    cases = 0
-    for t in all_triplets():
-        assignment = {(1, a): t.component(a) for a in "xyz"}
-        for fn in (h_fn, p_fn):
-            cases += 1
-            coherent += fn(sym1).evaluate(assignment) == fn(t)
-    for ta, tb in itertools.product(all_triplets(), repeat=2):
-        assignment = {(1, a): ta.component(a) for a in "xyz"}
-        assignment.update({(2, a): tb.component(a) for a in "xyz"})
-        cases += 1
-        sa, sb = cnot_fn(sym1, sym2)
-        coherent += (sa.evaluate(assignment), sb.evaluate(assignment)) == cnot_fn(ta, tb)
+        # On every concrete input: the first step agrees with the symbolic
+        # rule, and the rule's order-th power is the identity.
+        order, label = _POWERS[name]
+        inputs = list(itertools.product(all_triplets(), repeat=table.arity))
+        hits = 0
+        for ins in inputs:
+            states = run(step * order, ins, rules)
+            hits += states[-1] == ins
+            coherent += states[1] == tuple(t.evaluate(assignment_index(ins)) for t in symbolic)
+        cases += len(inputs)
+        powers.append(CheckResult(label, hits == len(inputs), f"{hits}/{len(inputs)}"))
+    results = powers + derivations
     results.append(
         CheckResult("symbolic/concrete agreement", coherent == cases, f"{coherent}/{cases}")
     )
-
-    table = tables["CNOT"]
-    preserved = len(table.preserved)
-    total_products = preserved + len(table.escaped)
-    results.append(
-        CheckResult(
-            "CNOT preserved product states",
-            preserved == 20 and total_products == 36,
-            f"{preserved}/{total_products}",
-        )
-    )
-
-    for gate_name in ("H", "S"):
-        table = tables[gate_name]
-        results.append(
-            CheckResult(
-                f"{gate_name} preserves the eigenbasis",
-                len(table.preserved) == 6 and not table.escaped,
-                f"{len(table.preserved)}/6",
-            )
-        )
-
+    for name, label, expected in _PRESERVED:
+        table = tables[name]
+        counts = (len(table.preserved), len(table.preserved) + len(table.escaped))
+        results.append(CheckResult(label, counts == expected, f"{counts[0]}/{counts[1]}"))
     return results
 
 
@@ -156,7 +129,7 @@ def oracle_checks() -> list[CheckResult]:
         )
 
     start = tensor(eigenvector(BasisLabel.Z_MINUS), eigenvector(BasisLabel.Z_MINUS))
-    entangled = apply(GATES["CNOT"], apply(kron(GATES["H"], GATES["I"]), start))
+    entangled = run_ket(NO_SHIFT, start)
     bell = bell_psi_minus()
     results.append(
         CheckResult(

@@ -127,6 +127,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Reports hold characters such as ⟨ and ↦: write UTF-8 whatever the
+    # locale, rather than fail on an encoding that cannot hold them.
+    sys.stdout.reconfigure(encoding="utf-8")
     try:
         try:
             code = main()

@@ -8,12 +8,12 @@ preserved row becomes implication constraints on hidden-variable signs:
 the classified input components form the premise, each classified output
 component a conclusion.  ``merge`` then asks, for every output component
 and every sign assignment, which value the constraints force.  It works
-on assignment indices (bit ``j`` is the ``j``-th input variable, set for
-+1): each premise compiles once to a bit mask and value, and each
-component keeps one list of forced-sign flags per index.  A component
-forced everywhere is interpolated as a sign monomial by bit flips and
-parities; anything less is reported as partial or undetermined rather
-than guessed.
+on assignment indices over the global variable bits of
+:mod:`hvlab.triplets` (x1 is bit 0, z2 bit 5, a set bit meaning +1): each
+premise compiles once to a bit mask and value, and each component keeps
+one list of forced-sign flags per index.  A component forced everywhere
+is interpolated as a sign monomial by bit flips and parities; anything
+less is reported as partial or undetermined rather than guessed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from .triplets import (
     SymTriplet,
     Triplet,
     Var,
+    assignment_index,
+    parity,
+    var_bit,
     var_name,
 )
 
@@ -128,35 +131,29 @@ _PLUS, _MINUS, _BOTH = 1, 2, 3
 _SIGN = (0, 1, -1)  # the forced sign of a flag value without _BOTH
 
 
-def _parity(bits: int) -> int:
-    """+1 when `bits` has an even number of set bits, -1 when odd."""
-    return -1 if bits.bit_count() & 1 else 1
-
-
-def _interpolate(variables, values):
+def _interpolate(count: int, values):
     """Fit a sign monomial to a fully forced truth table, or report failure.
 
-    ``values[index]`` is the sign forced at assignment ``index``.  A
-    variable belongs to the monomial exactly when flipping its bit flips
-    the value at every index; the sign is the value at the all-ones (all
-    +1) index.  The monomial's value at ``index`` is that sign times -1 for
-    each member bit clear in ``index``, and the fit is verified against the
-    whole table.
+    ``values[index]`` is the sign forced at assignment ``index`` over
+    ``count`` variable bits, which are the monomial's bits too.  A variable
+    belongs to the monomial exactly when flipping its bit flips the value
+    at every index; the sign is the value at the all-ones (all +1) index.
+    The monomial's value at ``index`` is that sign times -1 for each member
+    bit clear in ``index``, and the fit is verified against the whole table.
     """
     members = 0
-    for j in range(len(variables)):
+    for j in range(count):
         bit = 1 << j
         if all(values[index] != values[index ^ bit] for index in range(len(values))):
             members |= bit
     sign = values[-1]
     for index, value in enumerate(values):
-        if sign * _parity(members & ~index) != value:
+        if sign * parity(members & ~index) != value:
             return NonMonomialComponent(tuple(values))
-    chosen = frozenset(v for j, v in enumerate(variables) if members >> j & 1)
-    return TotalComponent(SignMonomial(sign, chosen))
+    return TotalComponent(SignMonomial(sign, members))
 
 
-def _premise_mask(premise, bits) -> tuple[int, int] | None:
+def _premise_mask(premise) -> tuple[int, int] | None:
     """The premise as a (mask, value) pair over the assignment index.
 
     The premise holds at ``index`` exactly when ``index & mask == value``.
@@ -164,7 +161,7 @@ def _premise_mask(premise, bits) -> tuple[int, int] | None:
     """
     mask = value = 0
     for v, s in premise:
-        bit = bits[v]
+        bit = 1 << var_bit(v)
         want = bit if s > 0 else 0
         if mask & bit and value & bit != want:
             return None
@@ -176,11 +173,12 @@ def _premise_mask(premise, bits) -> tuple[int, int] | None:
 def merge(constraints, arity: int) -> FunctionalRep:
     """Combine constraints into per-component functions of the input signs.
 
-    Assignments are numbered as in :func:`~hvlab.triplets.enumerate_assignments`:
-    bit ``j`` of the index is the ``j``-th input variable, set for +1.  Each
-    constraint is compiled once to a (mask, value) pair and marks the sign
-    it forces in its component's flags at every index where
-    ``index & mask == value``; an empty premise applies everywhere, and
+    Assignments are numbered by their global index: bit ``j`` of the index
+    is the ``j``-th input variable of :func:`component_vars`, set for +1.
+    Each constraint is compiled once to a (mask, value) pair and marks the
+    sign it forces in its component's flags at every index where
+    ``index & mask == value``; an empty premise applies everywhere, a
+    premise on a variable outside the arity raises :class:`ValueError`, and
     constraints on anything other than the arity's components are ignored.
     Scanning components in variable order and indices in ascending order,
     opposite forced signs raise :class:`ConflictingConstraints`; agreement
@@ -189,27 +187,28 @@ def merge(constraints, arity: int) -> FunctionalRep:
     """
     variables = component_vars(arity)
     size = 1 << len(variables)
-    bits = {v: 1 << j for j, v in enumerate(variables)}
-    flags = {w: [0] * size for w in variables}
+    flags = [[0] * size for _ in variables]
     for c in constraints:
         w, s = c.conclusion
-        compiled = _premise_mask(c.premise, bits) if w in flags else None
+        compiled = _premise_mask(c.premise) if w in variables else None
         if compiled is None:
             continue
         mask, value = compiled
-        table = flags[w]
+        if mask >= size:
+            raise ValueError(f"a premise names a variable outside arity {arity}")
+        table = flags[var_bit(w)]
         flag = _PLUS if s > 0 else _MINUS
         for index in range(size):
             if index & mask == value:
                 table[index] |= flag
     components = []
-    for w, table in flags.items():
+    for w, table in zip(variables, flags):
         if _BOTH in table:
             raise ConflictingConstraints(
                 f"{var_name(w)}' is forced to both signs at assignment {table.index(_BOTH)}"
             )
         if 0 not in table:
-            components.append(_interpolate(variables, [_SIGN[f] for f in table]))
+            components.append(_interpolate(len(variables), [_SIGN[f] for f in table]))
         elif any(table):
             components.append(
                 PartialComponent(tuple((i, _SIGN[f]) for i, f in enumerate(table) if f))
@@ -239,17 +238,17 @@ class FunctionalRep(NamedTuple):
         monomials = [c.monomial for c in self.components]
         return tuple(SymTriplet(*monomials[3 * q : 3 * q + 3]) for q in range(self.arity))
 
-    def evaluate(self, *inputs: Triplet) -> tuple[Triplet, ...]:
-        """Run the derived rule on concrete triplets (total only)."""
+    def evaluate(self, *inputs: Triplet):
+        """Run the derived rule on concrete triplets (total only).
+
+        Like a builtin rule, it returns a triplet for one qubit and a pair
+        for two, so it can stand in for one in a circuit.
+        """
         if len(inputs) != self.arity:
             raise ValueError(f"expected {self.arity} input triplets, got {len(inputs)}")
-        assignment = {
-            (qubit, axis): t.component(axis)
-            for qubit, t in enumerate(inputs, start=1)
-            for axis in AXES
-        }
-        syms = self.sym_triplets()
-        return tuple(s.evaluate(assignment) for s in syms)
+        index = assignment_index(inputs)
+        out = tuple(s.evaluate(index) for s in self.sym_triplets())
+        return out[0] if self.arity == 1 else out
 
 
 def derive(g: GateMatrix) -> FunctionalRep:

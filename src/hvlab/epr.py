@@ -2,7 +2,8 @@
 
 Two qubits start as ⟨x1, y1, -1⟩ and ⟨x2, y2, -1⟩.  Qubit A optionally
 passes a quarter-turn phase shifter, then a beam splitter, then controls
-a cnot on qubit B; the circuit on state vectors produces the singlet, so
+a cnot on qubit B.  Each branch is one circuit value, :data:`NO_SHIFT` or
+:data:`PHASE_SHIFT`; run on state vectors, both produce the singlet, so
 equal-axis measurements must disagree.  Propagating the triplet rules
 symbolically and demanding that disagreement yields one sign condition
 per axis.  The X and Z conditions hold identically, but the Y condition
@@ -22,10 +23,9 @@ from .triplets import (
     SymTriplet,
     Var,
     all_triplets,
-    cnot,
-    enumerate_assignments,
-    h,
     p_half_pi,
+    run,
+    var_bit,
     var_name,
     xy_product,
 )
@@ -33,38 +33,28 @@ from .triplets import (
 # The free hidden variables once both z-components are pinned to -1.
 VARIABLES: tuple[Var, ...] = ((1, "x"), (1, "y"), (2, "x"), (2, "y"))
 
+# Reports number the 16 assignments by a 4-bit index, bit j for
+# VARIABLES[j]; entry i is the global assignment index (bits 0, 1, 3, 4).
+ASSIGNMENTS = tuple(
+    sum(1 << var_bit(v) for j, v in enumerate(VARIABLES) if i >> j & 1) for i in range(16)
+)
+
 Pair = tuple[SymTriplet, SymTriplet]
 
+# Both qubits in the minus z-eigenstate: free x and y, z fixed at -1.
+START: Pair = tuple(SymTriplet.generic(q)._replace(z=SignMonomial.constant(-1)) for q in (1, 2))
 
-def prepare_symbolic() -> Pair:
-    """Both qubits in the minus z-eigenstate: free x and y, z fixed at -1."""
-    minus = SignMonomial.constant(-1)
+# The two branches, as circuits: a beam splitter on qubit A, then a cnot
+# from A to B, with or without a quarter-turn phase shifter on A first.
+NO_SHIFT = (("H", (1,)), ("CNOT", (1, 2)))
+PHASE_SHIFT = (("S", (1,)),) + NO_SHIFT
 
-    def qubit(q: int) -> SymTriplet:
-        return SymTriplet(
-            SignMonomial.variable((q, "x")), SignMonomial.variable((q, "y")), minus
-        )
-
-    return (qubit(1), qubit(2))
-
-
-def branch_steps(phase_shift: bool) -> list[tuple[str, Pair]]:
-    """The labeled symbolic state after each circuit element."""
-    a, b = prepare_symbolic()
-    steps = [("initial", (a, b))]
-    if phase_shift:
-        a = p_half_pi(a)
-        steps.append(("phase shifter on qubit A", (a, b)))
-    a = h(a)
-    steps.append(("beam splitter on qubit A", (a, b)))
-    a, b = cnot(a, b)
-    steps.append(("cnot, A controlling B", (a, b)))
-    return steps
-
-
-def run_branch(phase_shift: bool) -> Pair:
-    """Final symbolic pair of one branch."""
-    return branch_steps(phase_shift)[-1][1]
+# Each step in the experiment's words, qubits 1 and 2 being A and B.
+_LABELS = {
+    ("S", (1,)): "phase shifter on qubit A",
+    ("H", (1,)): "beam splitter on qubit A",
+    ("CNOT", (1, 2)): "cnot, A controlling B",
+}
 
 
 def anticorrelation_condition(pair: Pair, axis: str) -> SignMonomial:
@@ -78,22 +68,14 @@ def anticorrelation_condition(pair: Pair, axis: str) -> SignMonomial:
 
 def condition_str(m: SignMonomial) -> str:
     """Render a must-equal-(+1) monomial as an equation on its variables."""
-    if m.is_constant():
+    if not m.mask:
         return "+1 (always)" if m.sign > 0 else "-1 (never)"
-    product = SignMonomial(1, m.vars).render()
+    product = SignMonomial(1, m.mask).render()
     return f"{product} = {'+1' if m.sign > 0 else '-1'}"
 
 
 def pair_str(pair: Pair) -> str:
     return f"({pair[0]}, {pair[1]})"
-
-
-def satisfying_indices(m: SignMonomial) -> tuple[int, ...]:
-    """Assignment indices over VARIABLES where the monomial evaluates to +1."""
-    return tuple(
-        index for index, assignment in enumerate_assignments(VARIABLES)
-        if m.evaluate(assignment) == 1
-    )
 
 
 def check_claim1() -> bool:
@@ -103,18 +85,12 @@ def check_claim1() -> bool:
     no-shifter Y condition gives the two initial triplets equal xy-products,
     and the satisfying set is exactly half the space.
     """
-    condition = anticorrelation_condition(run_branch(False), "y")
-    a0, b0 = prepare_symbolic()
-    hits = 0
-    for _, assignment in enumerate_assignments(VARIABLES):
-        if condition.evaluate(assignment) != 1:
-            continue
-        hits += 1
-        ta = a0.evaluate(assignment)
-        tb = b0.evaluate(assignment)
-        if xy_product(ta) != xy_product(tb):
-            return False
-    return hits == 8
+    condition = anticorrelation_condition(run(NO_SHIFT, START)[-1], "y")
+    a0, b0 = START
+    hits = [index for index in ASSIGNMENTS if condition.evaluate(index) == 1]
+    return len(hits) == 8 and all(
+        xy_product(a0.evaluate(index)) == xy_product(b0.evaluate(index)) for index in hits
+    )
 
 
 def check_claim2() -> bool:
@@ -155,13 +131,14 @@ class ContradictionReport(NamedTuple):
 
 
 def _run_one_branch(phase_shift: bool) -> BranchResult:
-    pair = run_branch(phase_shift)
+    pair = run(PHASE_SHIFT if phase_shift else NO_SHIFT, START)[-1]
     conditions = tuple((axis, anticorrelation_condition(pair, axis)) for axis in AXES)
-    satisfied = None
-    for _, m in conditions:
-        hits = set(satisfying_indices(m))
-        satisfied = hits if satisfied is None else satisfied & hits
-    return BranchResult(phase_shift, pair, conditions, frozenset(satisfied))
+    satisfied = frozenset(
+        i
+        for i, index in enumerate(ASSIGNMENTS)
+        if all(m.evaluate(index) == 1 for _, m in conditions)
+    )
+    return BranchResult(phase_shift, pair, conditions, satisfied)
 
 
 def run_contradiction() -> ContradictionReport:
@@ -269,13 +246,17 @@ def render_contradiction_text(report: dict) -> str:
 
 def epr_report(phase_shift: bool) -> dict:
     """One branch's step-by-step propagation as a JSON-ready dictionary."""
-    steps = branch_steps(phase_shift)
-    final_pair = steps[-1][1]
+    circuit = PHASE_SHIFT if phase_shift else NO_SHIFT
+    states = run(circuit, START)
+    labels = ["initial"] + [_LABELS[step] for step in circuit]
+    final_pair = states[-1]
     return {
         "command": "epr",
         "branch": "phase-shift" if phase_shift else "no-phase-shift",
         "phase_shift": phase_shift,
-        "steps": [{"label": label, "pair": pair_str(pair)} for label, pair in steps],
+        "steps": [
+            {"label": label, "pair": pair_str(pair)} for label, pair in zip(labels, states)
+        ],
         "final_pair": pair_str(final_pair),
         "conditions": [
             {

@@ -208,6 +208,20 @@ def kron(a: GateMatrix, b: GateMatrix, name: str | None = None) -> GateMatrix:
     return GateMatrix(tuple(rows), name)
 
 
+def run_ket(circuit: tuple, ket: Ket) -> Ket:
+    """The two-qubit ket after a circuit of (gate name, qubits) steps.
+
+    A one-qubit gate is embedded as ``g⊗I``, so it must act on qubit 1, and
+    a two-qubit gate on qubits (1, 2): the placements the experiment uses.
+    """
+    for name, qubits in circuit:
+        g = GATES[name]
+        if qubits != ((1,) if g.dim == 2 else (1, 2)):
+            raise ValueError(f"{name} on qubits {qubits} cannot run on a two-qubit ket")
+        ket = apply(kron(g, GATES["I"]) if g.dim == 2 else g, ket)
+    return ket
+
+
 def separable(v: Ket) -> bool:
     """Rank-1 criterion for a two-qubit vector: v00*v11 = v01*v10."""
     if v.dim != 4:

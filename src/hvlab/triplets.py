@@ -5,7 +5,12 @@ measurement axis.  Gate action on triplets is given by small functional
 rules.  To reason about all assignments at once, components may also be
 symbolic: a :class:`SignMonomial` is a product of +-1 variables with an
 overall sign, closed under negation and multiplication, so the same rule
-functions run unchanged on concrete and symbolic triplets.
+functions run unchanged on concrete and symbolic triplets.  A circuit is a
+tuple of ``(gate name, qubit indices)`` steps, run by :func:`run` through
+the rules named in :data:`RULES` (and by :func:`hvlab.qstate.run_ket` on
+kets).  Hidden variable (q, axis) has the global bit ``3(q-1) +
+AXES.index(axis)``: a monomial is a mask over these bits, and an
+assignment of signs is an integer index over them, a set bit meaning +1.
 """
 
 from __future__ import annotations
@@ -18,8 +23,14 @@ from ._tuples import refused
 
 AXES = ("x", "y", "z")
 
-# A hidden variable is one axis component of one qubit's triplet.
+# A hidden variable by name: one axis component of one qubit's triplet.
 Var = tuple[int, str]
+
+
+def var_bit(v: Var) -> int:
+    """The variable's global bit: 3(q-1) + AXES.index(axis)."""
+    qubit, axis = v
+    return 3 * (qubit - 1) + AXES.index(axis)
 
 
 def var_name(v: Var, with_index: bool = True) -> str:
@@ -27,15 +38,17 @@ def var_name(v: Var, with_index: bool = True) -> str:
     return f"{axis}{qubit}" if with_index else axis
 
 
-def _var_key(v: Var) -> tuple[int, int]:
-    return (v[0], AXES.index(v[1]))
+def parity(bits: int) -> int:
+    """+1 when `bits` has an even number of set bits, -1 when odd."""
+    return -1 if bits.bit_count() & 1 else 1
 
 
-class SignMonomial(namedtuple("SignMonomial", "sign vars")):
+class SignMonomial(namedtuple("SignMonomial", "sign mask")):
     """A signed product of distinct +-1 variables, e.g. -y1.x2.
 
-    The empty product with sign s is the constant s.  Multiplication
-    cancels repeated variables (v*v = 1), so monomials form a group.
+    ``mask`` holds the global bits of the variables.  The empty product
+    with sign s is the constant s.  Multiplication cancels repeated
+    variables (v*v = 1), so it XORs the masks and monomials form a group.
     """
 
     __slots__ = ()
@@ -43,39 +56,38 @@ class SignMonomial(namedtuple("SignMonomial", "sign vars")):
     # __mul__ below takes another monomial only.
     __add__, __radd__, __rmul__ = refused("+", "+", "*")
 
-    def __init__(self, sign: int, vars: frozenset[Var]) -> None:
+    def __init__(self, sign: int, mask: int) -> None:
         if sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {sign!r}")
 
     @classmethod
     def constant(cls, sign: int) -> SignMonomial:
-        return cls(sign, frozenset())
+        return cls(sign, 0)
 
     @classmethod
     def variable(cls, v: Var) -> SignMonomial:
-        return cls(1, frozenset([v]))
-
-    def is_constant(self) -> bool:
-        return not self.vars
+        return cls(1, 1 << var_bit(v))
 
     def __neg__(self) -> SignMonomial:
-        return SignMonomial(-self.sign, self.vars)
+        return SignMonomial(-self.sign, self.mask)
 
     def __mul__(self, other: SignMonomial) -> SignMonomial:
         if not isinstance(other, SignMonomial):
             return NotImplemented
-        return SignMonomial(self.sign * other.sign, self.vars ^ other.vars)
+        return SignMonomial(self.sign * other.sign, self.mask ^ other.mask)
 
-    def evaluate(self, assignment: dict[Var, int]) -> int:
-        value = self.sign
-        for v in self.vars:
-            value *= assignment[v]
-        return value
+    def evaluate(self, index: int) -> int:
+        """The value at assignment `index`: the sign, times -1 per member bit clear in it."""
+        return self.sign * parity(self.mask & ~index)
 
     def render(self, with_index: bool = True) -> str:
-        if not self.vars:
+        if not self.mask:
             return "+1" if self.sign > 0 else "-1"
-        body = ".".join(var_name(v, with_index) for v in sorted(self.vars, key=_var_key))
+        body = ".".join(
+            var_name((bit // 3 + 1, AXES[bit % 3]), with_index)
+            for bit in range(self.mask.bit_length())
+            if self.mask >> bit & 1
+        )
         return body if self.sign > 0 else f"-{body}"
 
     def __str__(self) -> str:
@@ -121,11 +133,17 @@ class SymTriplet(NamedTuple):
     def component(self, axis: str) -> SignMonomial:
         return getattr(self, axis)
 
-    def evaluate(self, assignment: dict[Var, int]) -> Triplet:
-        return Triplet(*(self.component(a).evaluate(assignment) for a in AXES))
+    def evaluate(self, index: int) -> Triplet:
+        return Triplet(*(m.evaluate(index) for m in self))
 
     def __str__(self) -> str:
         return f"⟨{self.x}, {self.y}, {self.z}⟩"
+
+
+def assignment_index(triplets) -> int:
+    """The assignment index of concrete triplets on qubits 1, 2, ... in order."""
+    components = itertools.chain.from_iterable(triplets)
+    return sum(1 << bit for bit, value in enumerate(components) if value > 0)
 
 
 def h(t):
@@ -157,12 +175,24 @@ def all_triplets() -> Iterator[Triplet]:
         yield Triplet(x, y, z)
 
 
-def enumerate_assignments(variables: tuple[Var, ...]) -> Iterator[tuple[int, dict[Var, int]]]:
-    """All 2^n sign assignments, indexed so bit j of the index gives variables[j].
+# Gate name -> name of its rule in this module.  run looks the rule up on
+# every call, so a wrapper set on the module is the one that runs.
+RULES = {"H": "h", "S": "p_half_pi", "CNOT": "cnot"}
 
-    A set bit means +1.  The index doubles as the position in satisfying-set
-    bitmasks, so reports can cite assignments by number.
+
+def run(circuit: tuple, state: tuple, rules=None) -> list[tuple]:
+    """The triplets, one per qubit, before and after each step of the circuit.
+
+    ``rules`` maps gate names to rule functions, by default those of
+    :data:`RULES`.  A rule takes one triplet per qubit it acts on and
+    returns a triplet for one qubit and a pair for two.
     """
-    n = len(variables)
-    for index in range(1 << n):
-        yield index, {v: (1 if index >> j & 1 else -1) for j, v in enumerate(variables)}
+    states = [tuple(state)]
+    for name, qubits in circuit:
+        rule = globals()[RULES[name]] if rules is None else rules[name]
+        out = rule(*(state[q - 1] for q in qubits))
+        state = list(state)
+        for q, t in zip(qubits, (out,) if len(qubits) == 1 else out):
+            state[q - 1] = t
+        states.append(tuple(state))
+    return states

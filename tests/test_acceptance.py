@@ -13,10 +13,12 @@ from hvlab.cli import main
 from hvlab.cyclotomic import CycInt
 from hvlab.derive import TotalComponent, UndeterminedComponent, derive, enumerate_mappings
 from hvlab.epr import (
-    VARIABLES,
+    ASSIGNMENTS,
+    NO_SHIFT,
+    PHASE_SHIFT,
+    START,
     check_claim1,
     check_claim2,
-    run_branch,
     run_contradiction,
     contradiction_report,
     pair_str,
@@ -38,9 +40,9 @@ from hvlab.triplets import (
     Triplet,
     all_triplets,
     cnot,
-    enumerate_assignments,
     h,
     p_half_pi,
+    run,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -140,7 +142,7 @@ def test_criterion_4_oracle_circuit(capsys):
 
 def test_criterion_5_symbolic_propagation(capsys):
     with verdict(capsys, 5, "symbolic propagation reaches the expected final pair"):
-        pair = run_branch(False)
+        pair = run(NO_SHIFT, START)[-1]
         assert pair_str(pair) == "(⟨-x2, -y1.x2, x1⟩, ⟨x2, x1.y2, -x1⟩)"
         x1 = SignMonomial.variable((1, "x"))
         y1 = SignMonomial.variable((1, "y"))
@@ -182,21 +184,22 @@ def test_criterion_8_property_suites(capsys):
         for a, b in itertools.product(all_triplets(), repeat=2):
             assert cnot(*cnot(a, b)) == (a, b)
 
-        for phase_shift in (False, True):
-            final = run_branch(phase_shift)
-            for _, env in enumerate_assignments(VARIABLES):
-                a = Triplet(env[(1, "x")], env[(1, "y")], -1)
-                b = Triplet(env[(2, "x")], env[(2, "y")], -1)
+        for phase_shift, circuit in ((False, NO_SHIFT), (True, PHASE_SHIFT)):
+            final = run(circuit, START)[-1]
+            for i, index in enumerate(ASSIGNMENTS):
+                x1, y1, x2, y2 = (1 if i >> j & 1 else -1 for j in range(4))
+                a = Triplet(x1, y1, -1)
+                b = Triplet(x2, y2, -1)
                 if phase_shift:
                     a = p_half_pi(a)
                 a = h(a)
                 a, b = cnot(a, b)
-                assert (final[0].evaluate(env), final[1].evaluate(env)) == (a, b)
+                assert (final[0].evaluate(index), final[1].evaluate(index)) == (a, b)
 
         h_rep, s_rep, cnot_rep = (derive(GATES[n]) for n in ("H", "S", "CNOT"))
         for t in all_triplets():
-            assert h_rep.evaluate(t) == (h(t),)
-            assert s_rep.evaluate(t) == (p_half_pi(t),)
+            assert h_rep.evaluate(t) == h(t)
+            assert s_rep.evaluate(t) == p_half_pi(t)
         for a, b in itertools.product(all_triplets(), repeat=2):
             assert cnot_rep.evaluate(a, b) == cnot(a, b)
 

@@ -1,12 +1,18 @@
 """Both self-check suites pass clean and catch an injected fault."""
 
+from hvlab import triplets
 from hvlab.checks import (
     checks_report,
     oracle_checks,
     render_checks_text,
     representation_checks,
 )
-from hvlab.triplets import cnot
+from hvlab.triplets import RULES, SymTriplet, cnot, h
+
+
+def rules_with(**overrides):
+    """The builtin rules mapping, with some gates' rules replaced."""
+    return {name: getattr(triplets, fn) for name, fn in RULES.items()} | overrides
 
 
 def by_name(results):
@@ -34,10 +40,19 @@ def test_fault_injection_is_caught():
         a, b = cnot(control, target)
         return (a, type(b)(b.x, -b.y, b.z))
 
-    results = representation_checks(cnot_fn=corrupted)
+    results = representation_checks(rules_with(CNOT=corrupted))
     named = by_name(results)
     assert not named["CNOT derivation matches builtin rule"].passed
-    assert any(not r.passed for r in results)
+    assert [r.name for r in results if not r.passed] == ["CNOT derivation matches builtin rule"]
+
+
+def test_a_rule_that_treats_symbols_differently_fails_agreement():
+    def two_faced(t):
+        out = h(t)
+        return out if isinstance(out, SymTriplet) else type(out)(out.x, out.y, -out.z)
+
+    failed = [r.name for r in representation_checks(rules_with(H=two_faced)) if not r.passed]
+    assert "symbolic/concrete agreement" in failed
 
 
 def test_checks_report_and_rendering():
@@ -51,6 +66,8 @@ def test_checks_report_and_rendering():
         return cnot(target, control)
 
     report = checks_report("verify-reps", "triplet-rule coherence checks",
-                           representation_checks(cnot_fn=broken))
+                           representation_checks(rules_with(CNOT=broken)))
     assert report["all_passed"] is False
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["cnot involution", "CNOT derivation matches builtin rule"]
     assert "[FAIL]" in render_checks_text(report)

@@ -1,18 +1,25 @@
 """Command-line behavior: exit codes, pinned strings, format equivalence."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from hvlab import cli
 from hvlab.checks import render_checks_text
 from hvlab.cli import main
+from hvlab.cyclotomic import CycInt
 from hvlab.derive import render_derivation_text
 from hvlab.epr import render_contradiction_text, render_epr_text
-from hvlab.qstate import GATES, MAX_GATE_FILE_BYTES, gate_to_json
+from hvlab.qstate import GATES, MAX_GATE_FILE_BYTES, gate_to_json, kron
 
 
 def run(capsys, *argv):
@@ -159,6 +166,81 @@ def test_derive_from_gate_file(capsys, tmp_path):
     assert "phase: ⟨x,y,z⟩ ↦ ⟨-y, x, z⟩" in out
 
 
+# Gate documents for the fuzz test below, as the bytes of a file.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**4000), 10**4000),
+    st.booleans(),
+    st.floats(),
+    st.just("1"),
+)
+gate_shaped = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=6) | st.just("\ud800") | json_values,
+        "dim": st.sampled_from([2, 4, 3, 0, -2, 2.0, True, "2", None, 2**80]) | json_values,
+        "entries": st.lists(
+            st.lists(st.lists(coefficients, min_size=3, max_size=5) | json_values, max_size=5),
+            max_size=5,
+        )
+        | json_values,
+    }
+)
+one_qubit_gates = st.sampled_from([g for g in GATES.values() if g.dim == 2])
+scalars = st.builds(CycInt, *[st.integers(-(2**100), 2**100)] * 4).map(
+    lambda u: CycInt(1) if u.is_zero() else u
+)
+unitary = st.builds(
+    lambda g, u: g.scaled(u),
+    one_qubit_gates | st.builds(kron, one_qubit_gates, one_qubit_gates) | st.just(GATES["CNOT"]),
+    scalars,
+).map(gate_to_json)
+
+
+def _with_bad_coefficient(doc, value):
+    doc["entries"][0][-1][0] = value
+    return doc
+
+
+gate_documents = st.one_of(
+    st.one_of(json_values, gate_shaped, unitary).map(lambda doc: json.dumps(doc).encode()),
+    st.builds(_with_bad_coefficient, unitary, coefficients).map(lambda d: json.dumps(d).encode()),
+    unitary.map(lambda doc: {**doc, "dim": 6 - doc["dim"]}).map(lambda d: json.dumps(d).encode()),
+    # Integers over the JSON parser's 4 300-digit limit, and bytes that are not UTF-8.
+    st.integers(4301, 6000).map(
+        lambda n: f'{{"name": "", "dim": 2, "entries": [[[{"9" * n}, 0, 0, 0]]]}}'.encode()
+    ),
+    st.binary(max_size=40),
+    st.binary(min_size=1, max_size=8).map(lambda b: b'{"name": "\xff' + b + b'"}'),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gate_documents)
+@example(json.dumps(gate_to_json(GATES["T"])).encode())  # exit 2
+def test_derive_of_any_gate_file_gives_an_exit_code_and_no_traceback(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gate.json")
+        with open(path, "wb") as f:
+            f.write(document)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["derive", path])
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
 def test_verify_reps(capsys):
     code, out, _ = run(capsys, "verify-reps")
     assert code == 0
@@ -288,6 +370,20 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""  # no traceback, no "Exception ignored" line
+
+
+@pytest.mark.parametrize("golden", ["derive-H.text", "contradiction.json"])
+def test_output_is_utf8_whatever_the_stdout_encoding(golden):
+    golden_dir = Path(__file__).parent / "golden"
+    case = json.loads((golden_dir / "cases.json").read_text(encoding="utf-8"))[golden]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvlab", *case["argv"]],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert proc.stderr == b""
+    assert proc.returncode == case["exit"]
+    assert proc.stdout == (golden_dir / golden).read_bytes()
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,9 @@ from hvlab.triplets import (
     SymTriplet,
     all_triplets,
     cnot,
-    enumerate_assignments,
     h,
     p_half_pi,
+    var_bit,
     var_name,
 )
 
@@ -177,8 +178,8 @@ def test_derived_rule_equals_builtin_on_all_inputs():
     s_rep = derive(GATES["S"])
     cnot_rep = derive(GATES["CNOT"])
     for t in all_triplets():
-        assert h_rep.evaluate(t) == (h(t),)
-        assert s_rep.evaluate(t) == (p_half_pi(t),)
+        assert h_rep.evaluate(t) == h(t)
+        assert s_rep.evaluate(t) == p_half_pi(t)
     for a in all_triplets():
         for b in all_triplets():
             assert cnot_rep.evaluate(a, b) == cnot(a, b)
@@ -200,6 +201,13 @@ def test_merge_detects_conflicts():
     )
     with pytest.raises(ConflictingConstraints):
         merge(clash, 1)
+
+
+def test_merge_rejects_a_premise_outside_the_arity():
+    for sign in (1, -1):
+        outside = (Constraint(frozenset([((2, "x"), sign)]), ((1, "x"), 1)),)
+        with pytest.raises(ValueError):
+            merge(outside, 1)
 
 
 def test_merge_reports_partial_components():
@@ -228,7 +236,32 @@ def test_merge_flags_non_monomial_truth_tables():
 
 
 # The dictionary-per-assignment merge that the index-mask merge replaced,
-# kept verbatim as the reference it must agree with.
+# kept verbatim as the reference it must agree with.  It runs on its own
+# dictionary assignments and set-of-variables monomials (below), and
+# `reference` turns its monomials into mask monomials for the comparison.
+
+
+def enumerate_assignments(variables):
+    """All 2^n sign assignments, indexed so bit j of the index gives variables[j].
+
+    A set bit means +1.
+    """
+    n = len(variables)
+    for index in range(1 << n):
+        yield index, {v: (1 if index >> j & 1 else -1) for j, v in enumerate(variables)}
+
+
+class DictMonomial(NamedTuple):
+    """A signed product of a set of variables, evaluated on a dictionary assignment."""
+
+    sign: int
+    vars: frozenset
+
+    def evaluate(self, assignment):
+        value = self.sign
+        for v in self.vars:
+            value *= assignment[v]
+        return value
 
 
 def reference_interpolate(variables, assignments, forced):
@@ -243,7 +276,7 @@ def reference_interpolate(variables, assignments, forced):
         if all(forced[index] != forced[index ^ (1 << j)] for index, _ in assignments):
             members.append(v)
     sign = forced[(1 << len(variables)) - 1]
-    monomial = SignMonomial(sign, frozenset(members))
+    monomial = DictMonomial(sign, frozenset(members))
     for index, assignment in assignments:
         if monomial.evaluate(assignment) != forced[index]:
             return NonMonomialComponent(tuple(forced[i] for i, _ in assignments))
@@ -284,6 +317,18 @@ def reference_merge(constraints, arity: int) -> FunctionalRep:
         else:
             components.append(UndeterminedComponent())
     return FunctionalRep(arity, tuple(components))
+
+
+def reference(constraints, arity: int) -> FunctionalRep:
+    """reference_merge, with each monomial as a mask over the global variable bits."""
+    rep = reference_merge(constraints, arity)
+    def as_mask(m):
+        return SignMonomial(m.sign, sum(1 << var_bit(v) for v in m.vars))
+
+    components = tuple(
+        TotalComponent(as_mask(c.monomial)) if c.kind == "total" else c for c in rep.components
+    )
+    return rep._replace(components=components)
 
 
 def random_constraints(pick, arity):
@@ -331,7 +376,7 @@ def merge_outcome(merge_fn, constraints, arity):
 def test_merge_agrees_with_the_reference(data, arity):
     constraints = random_constraints(lambda lo, hi: data.draw(st.integers(lo, hi)), arity)
     assert merge_outcome(merge, constraints, arity) == merge_outcome(
-        reference_merge, constraints, arity
+        reference, constraints, arity
     )
 
 
@@ -347,11 +392,11 @@ def test_random_constraint_sets_reach_every_outcome():
         arity = 1 + trial % 2
         constraints = random_constraints(rng.randint, arity)
         outcome = merge_outcome(merge, constraints, arity)
-        assert outcome == merge_outcome(reference_merge, constraints, arity)
+        assert outcome == merge_outcome(reference, constraints, arity)
         if isinstance(outcome, FunctionalRep):
             for comp in outcome.components:
                 seen[comp.kind] += 1
-                seen["monomial"] += comp.kind == "total" and bool(comp.monomial.vars)
+                seen["monomial"] += comp.kind == "total" and bool(comp.monomial.mask)
         else:
             assert outcome[0] is ConflictingConstraints
             seen["conflict"] += 1

@@ -1,51 +1,85 @@
 """Two-branch entanglement experiment: symbolic algebra and enumeration."""
 
+from hvlab import triplets
+from hvlab.derive import derive
 from hvlab.epr import (
+    ASSIGNMENTS,
+    NO_SHIFT,
+    PHASE_SHIFT,
+    START,
     VARIABLES,
     anticorrelation_condition,
-    branch_steps,
     check_claim1,
     check_claim2,
     condition_str,
     contradiction_report,
     epr_report,
     pair_str,
-    prepare_symbolic,
     render_contradiction_text,
     render_epr_text,
-    run_branch,
     run_contradiction,
 )
+from hvlab.qstate import (
+    GATES,
+    BasisLabel,
+    bell_psi_minus,
+    eigenvector,
+    proportional,
+    run_ket,
+    tensor,
+)
 from hvlab.triplets import (
+    RULES,
     SignMonomial,
     SymTriplet,
     Triplet,
     cnot,
-    enumerate_assignments,
     h,
     p_half_pi,
+    run,
+    var_bit,
     xy_product,
 )
 
 
 def mono(*vars_, sign=1):
-    return SignMonomial(sign, frozenset(vars_))
+    return SignMonomial(sign, sum(1 << var_bit(v) for v in vars_))
 
 
-def test_prepare_symbolic():
-    pair = prepare_symbolic()
+def final_pair(phase_shift):
+    return run(PHASE_SHIFT if phase_shift else NO_SHIFT, START)[-1]
+
+
+def free_signs(i):
+    """The signs of (x1, y1, x2, y2) at report index i: bit j for VARIABLES[j]."""
+    return tuple(1 if i >> j & 1 else -1 for j in range(len(VARIABLES)))
+
+
+def test_start_state():
+    pair = START
     assert pair_str(pair) == "(⟨x1, y1, -1⟩, ⟨x2, y2, -1⟩)"
-    env = {v: 1 for v in VARIABLES}
-    assert pair[0].evaluate(env) == Triplet(1, 1, -1)
-    assert pair[1].evaluate(env) == Triplet(1, 1, -1)
+    every_plus = ASSIGNMENTS[15]
+    assert pair[0].evaluate(every_plus) == Triplet(1, 1, -1)
+    assert pair[1].evaluate(every_plus) == Triplet(1, 1, -1)
     assert pair[0].z == SignMonomial.constant(-1)
     assert pair[1].z == SignMonomial.constant(-1)
 
 
-def test_branch_steps_labels():
-    labels = [label for label, _ in branch_steps(False)]
+def test_report_indices_map_to_global_bits():
+    # x1, y1, x2, y2 are global bits 0, 1, 3, 4; z1 and z2 stay clear (-1).
+    assert [var_bit(v) for v in VARIABLES] == [0, 1, 3, 4]
+    assert ASSIGNMENTS[0b0001] == 0b000001
+    assert ASSIGNMENTS[0b0100] == 0b001000
+    assert ASSIGNMENTS[0b1111] == 0b011011
+    assert len(set(ASSIGNMENTS)) == 16
+
+
+def test_branch_circuits_and_step_labels():
+    assert NO_SHIFT == (("H", (1,)), ("CNOT", (1, 2)))
+    assert PHASE_SHIFT == (("S", (1,)), ("H", (1,)), ("CNOT", (1, 2)))
+    labels = [step["label"] for step in epr_report(False)["steps"]]
     assert labels == ["initial", "beam splitter on qubit A", "cnot, A controlling B"]
-    labels = [label for label, _ in branch_steps(True)]
+    labels = [step["label"] for step in epr_report(True)["steps"]]
     assert labels == [
         "initial",
         "phase shifter on qubit A",
@@ -55,7 +89,7 @@ def test_branch_steps_labels():
 
 
 def test_final_pair_without_shifter():
-    a, b = run_branch(False)
+    a, b = final_pair(False)
     assert a == SymTriplet(
         mono((2, "x"), sign=-1), mono((1, "y"), (2, "x"), sign=-1), mono((1, "x"))
     )
@@ -66,7 +100,7 @@ def test_final_pair_without_shifter():
 
 
 def test_final_pair_with_shifter():
-    a, b = run_branch(True)
+    a, b = final_pair(True)
     assert a == SymTriplet(
         mono((2, "x"), sign=-1), mono((1, "x"), (2, "x"), sign=-1), mono((1, "y"), sign=-1)
     )
@@ -77,8 +111,8 @@ def test_final_pair_with_shifter():
 
 
 def test_conditions():
-    no_shift = run_branch(False)
-    with_shift = run_branch(True)
+    no_shift = final_pair(False)
+    with_shift = final_pair(True)
     for pair in (no_shift, with_shift):
         assert anticorrelation_condition(pair, "x") == SignMonomial.constant(1)
         assert anticorrelation_condition(pair, "z") == SignMonomial.constant(1)
@@ -95,27 +129,26 @@ def test_conditions():
 
 def test_symbolic_propagation_matches_concrete_pipeline():
     for phase_shift in (False, True):
-        final = run_branch(phase_shift)
-        for _, env in enumerate_assignments(VARIABLES):
-            a = Triplet(env[(1, "x")], env[(1, "y")], -1)
-            b = Triplet(env[(2, "x")], env[(2, "y")], -1)
+        final = final_pair(phase_shift)
+        for i, index in enumerate(ASSIGNMENTS):
+            x1, y1, x2, y2 = free_signs(i)
+            a = Triplet(x1, y1, -1)
+            b = Triplet(x2, y2, -1)
             if phase_shift:
                 a = p_half_pi(a)
             a = h(a)
             a, b = cnot(a, b)
-            assert (final[0].evaluate(env), final[1].evaluate(env)) == (a, b)
+            assert (final[0].evaluate(index), final[1].evaluate(index)) == (a, b)
 
 
 def test_claim1():
     assert check_claim1()
-    condition = anticorrelation_condition(run_branch(False), "y")
-    matches = [
-        env for _, env in enumerate_assignments(VARIABLES)
-        if condition.evaluate(env) == 1
-    ]
+    condition = anticorrelation_condition(final_pair(False), "y")
+    matches = [i for i, index in enumerate(ASSIGNMENTS) if condition.evaluate(index) == 1]
     assert len(matches) == 8
-    for env in matches:
-        assert env[(1, "x")] * env[(1, "y")] == env[(2, "x")] * env[(2, "y")]
+    for i in matches:
+        x1, y1, x2, y2 = free_signs(i)
+        assert x1 * y1 == x2 * y2
 
 
 def test_claim2_including_variant_form():
@@ -177,3 +210,34 @@ def test_epr_report_dict():
         "x1.y1.x2.y2 = -1"
     )
     assert len(report["steps"]) == 4
+
+
+def test_both_branch_circuits_make_the_singlet():
+    # The contradiction needs anti-correlation in both branches, so both
+    # circuits, the phase-shift one included, must make the singlet.
+    start = tensor(eigenvector(BasisLabel.Z_MINUS), eigenvector(BasisLabel.Z_MINUS))
+    for circuit in (NO_SHIFT, PHASE_SHIFT):
+        assert proportional(run_ket(circuit, start), bell_psi_minus())
+
+
+def test_derived_rules_reach_the_same_contradiction(monkeypatch):
+    # A second route to the headline result: concrete triplets through the
+    # rules derived from the gate matrices, with no hand-written rule.
+    expected = [sum(1 << i for i in b.satisfying) for b in run_contradiction().branches]
+    derived = {name: derive(GATES[name]).evaluate for name in RULES}
+
+    def forbidden(*args):
+        raise AssertionError("a hand-written rule ran")
+
+    for name in RULES.values():
+        monkeypatch.setattr(triplets, name, forbidden)
+    masks = []
+    for circuit in (NO_SHIFT, PHASE_SHIFT):
+        mask = 0
+        for i in range(16):
+            x1, y1, x2, y2 = free_signs(i)
+            a, b = run(circuit, (Triplet(x1, y1, -1), Triplet(x2, y2, -1)), derived)[-1]
+            if all(a.component(axis) == -b.component(axis) for axis in "xyz"):
+                mask |= 1 << i
+        masks.append(mask)
+    assert masks == [0x9669, 0x6996] == expected

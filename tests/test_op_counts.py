@@ -6,6 +6,7 @@ derivation or the contradiction experiment does without a timer.
 
 import pytest
 
+from hvlab import triplets
 from hvlab.checks import representation_checks
 from hvlab.cyclotomic import OMEGA, ONE, CycInt
 from hvlab.derive import derive
@@ -67,6 +68,34 @@ def test_multiplies_per_representation_check_suite(multiplies):
     # The H, S and CNOT mapping tables need 4 330 between them; enumerating
     # each table twice doubles that.
     assert warm_count(multiplies, representation_checks) <= 4_400
+
+
+@pytest.fixture
+def monomial_products(monkeypatch):
+    """Count SignMonomial multiplications."""
+    return count_calls(monkeypatch, "__mul__", SignMonomial)
+
+
+def test_monomial_products_per_contradiction_report(monomial_products):
+    assert warm_count(monomial_products, contradiction_report) <= 14
+
+
+def test_monomial_products_per_representation_check_suite(monomial_products):
+    assert warm_count(monomial_products, representation_checks) <= 260
+
+
+def test_circuits_look_their_rules_up_in_the_triplets_module(monkeypatch):
+    # A wrapper set on hvlab.triplets, as a tracer sets one, must see the calls.
+    calls = [0]
+    original = triplets.h
+
+    def counted(t):
+        calls[0] += 1
+        return original(t)
+
+    monkeypatch.setattr(triplets, "h", counted)
+    contradiction_report()
+    assert calls[0] > 0
 
 
 def test_each_ring_product_is_built_and_validated_once(builds, multiplies):

@@ -11,20 +11,19 @@ from hvlab.triplets import (
     SymTriplet,
     Triplet,
     all_triplets,
+    assignment_index,
     cnot,
-    enumerate_assignments,
     h,
     p_half_pi,
+    var_bit,
     var_name,
     xy_product,
 )
 
 ALL_VARS = [(q, a) for q in (1, 2) for a in "xyz"]
 signs = st.sampled_from((-1, 1))
-monomials = st.builds(
-    SignMonomial, signs, st.frozensets(st.sampled_from(ALL_VARS), max_size=6)
-)
-assignments = st.fixed_dictionaries({v: signs for v in ALL_VARS})
+monomials = st.builds(SignMonomial, signs, st.integers(0, 63))
+assignments = st.integers(0, 63)
 
 
 def test_var_name():
@@ -37,34 +36,37 @@ def test_monomial_rendering():
     assert SignMonomial.constant(1).render() == "+1"
     assert SignMonomial.constant(-1).render() == "-1"
     assert SignMonomial.variable((2, "x")).render() == "x2"
-    m = SignMonomial(-1, frozenset([(2, "x"), (1, "y")]))
+    m = SignMonomial(-1, 1 << var_bit((2, "x")) | 1 << var_bit((1, "y")))
     assert m.render() == "-y1.x2"
     assert m.render(with_index=False) == "-y.x"
-    full = SignMonomial(1, frozenset(ALL_VARS))
+    full = SignMonomial(1, sum(1 << var_bit(v) for v in ALL_VARS))
     assert full.render() == "x1.y1.z1.x2.y2.z2"
 
 
 def test_monomial_validation():
     with pytest.raises(ValueError):
-        SignMonomial(0, frozenset())
+        SignMonomial(0, 0)
     with pytest.raises(ValueError):
-        SignMonomial(2, frozenset())
+        SignMonomial(2, 0)
 
 
 def test_monomial_multiplication_cancels_squares():
     x1 = SignMonomial.variable((1, "x"))
     y1 = SignMonomial.variable((1, "y"))
     assert x1 * x1 == SignMonomial.constant(1)
-    assert x1 * y1 == SignMonomial(1, frozenset([(1, "x"), (1, "y")]))
+    assert x1 * y1 == SignMonomial(1, 0b11)
     assert -x1 * y1 * x1 == -y1
 
 
 def test_monomial_evaluate():
-    m = SignMonomial(-1, frozenset([(1, "x"), (2, "y")]))
-    assert m.evaluate({(1, "x"): 1, (2, "y"): -1}) == 1
-    assert m.evaluate({(1, "x"): 1, (2, "y"): 1}) == -1
-    with pytest.raises(KeyError):
-        m.evaluate({(1, "x"): 1})
+    m = -(SignMonomial.variable((1, "x")) * SignMonomial.variable((2, "y")))
+    x1, y2 = 1 << var_bit((1, "x")), 1 << var_bit((2, "y"))
+    assert m.evaluate(x1) == 1  # x1 = +1, y2 = -1
+    assert m.evaluate(x1 | y2) == -1
+    # Bits of variables outside the monomial do not matter.
+    others = 0b111111 & ~(x1 | y2)
+    assert m.evaluate(x1 | others) == 1
+    assert m.evaluate(x1 | y2 | others) == -1
 
 
 @given(monomials, monomials, monomials)
@@ -102,7 +104,7 @@ def test_all_triplets():
 def test_sym_triplet_generic_and_evaluate():
     s = SymTriplet.generic(1)
     assert str(s) == "⟨x1, y1, z1⟩"
-    t = s.evaluate({(1, "x"): 1, (1, "y"): -1, (1, "z"): -1})
+    t = s.evaluate(0b001)  # x1 = +1, y1 = z1 = -1
     assert t == Triplet(1, -1, -1)
 
 
@@ -144,22 +146,25 @@ def test_symbolic_rules_match_concrete_rules():
     sym1 = SymTriplet.generic(1)
     sym2 = SymTriplet.generic(2)
     for t in all_triplets():
-        env = {(1, a): t.component(a) for a in "xyz"}
-        assert h(sym1).evaluate(env) == h(t)
-        assert p_half_pi(sym1).evaluate(env) == p_half_pi(t)
+        index = assignment_index((t,))
+        assert h(sym1).evaluate(index) == h(t)
+        assert p_half_pi(sym1).evaluate(index) == p_half_pi(t)
     for ta, tb in itertools.product(all_triplets(), repeat=2):
-        env = {(1, a): ta.component(a) for a in "xyz"}
-        env.update({(2, a): tb.component(a) for a in "xyz"})
+        index = assignment_index((ta, tb))
         sa, sb = cnot(sym1, sym2)
-        assert (sa.evaluate(env), sb.evaluate(env)) == cnot(ta, tb)
+        assert (sa.evaluate(index), sb.evaluate(index)) == cnot(ta, tb)
 
 
-def test_enumerate_assignments_bit_encoding():
-    variables = ((1, "x"), (1, "y"), (2, "x"))
-    rows = list(enumerate_assignments(variables))
-    assert len(rows) == 8
-    assert rows[0] == (0, {(1, "x"): -1, (1, "y"): -1, (2, "x"): -1})
-    assert rows[7][1] == {(1, "x"): 1, (1, "y"): 1, (2, "x"): 1}
-    index, assignment = rows[0b101]
-    assert index == 5
-    assert assignment == {(1, "x"): 1, (1, "y"): -1, (2, "x"): 1}
+def test_global_bit_encoding():
+    # Variable (q, axis) is bit 3(q-1) + axis position; a set bit means +1.
+    assert [var_bit(v) for v in ALL_VARS] == [0, 1, 2, 3, 4, 5]
+    assert SignMonomial.variable((2, "y")) == SignMonomial(1, 1 << 4)
+    assert assignment_index((Triplet(1, -1, 1), Triplet(-1, -1, 1))) == 0b100101
+    assert assignment_index((Triplet(-1, -1, -1),)) == 0
+    for ta, tb in itertools.product(all_triplets(), repeat=2):
+        index = assignment_index((ta, tb))
+        assert SymTriplet.generic(1).evaluate(index) == ta
+        assert SymTriplet.generic(2).evaluate(index) == tb
+    assert sorted(assignment_index(p) for p in itertools.product(all_triplets(), repeat=2)) == (
+        list(range(64))
+    )

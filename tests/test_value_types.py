@@ -57,9 +57,9 @@ CASES = {
         ],
     ),
     SignMonomial: (
-        lambda: SignMonomial(-1, frozenset({(1, "x"), (2, "y")})),
+        lambda: SignMonomial(-1, 0b10001),  # -x1.y2
         "sign",
-        [(lambda: SignMonomial(0, frozenset()), ValueError, "sign must be -1 or +1, got 0")],
+        [(lambda: SignMonomial(0, 0), ValueError, "sign must be -1 or +1, got 0")],
     ),
     Triplet: (
         lambda: Triplet(1, -1, 1),
