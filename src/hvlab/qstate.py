@@ -58,6 +58,8 @@ class Ket(namedtuple("Ket", "entries")):
     __add__, __radd__, __mul__, __rmul__ = refused("+", "+", "*", "*")
 
     def __init__(self, entries: tuple[CycInt, ...]) -> None:
+        if type(entries) is not tuple:
+            raise TypeError("ket entries must be a tuple")
         n = len(entries)
         if n != 2 and n != 4:
             raise ValueError(f"kets have dimension 2 or 4, got {n}")
@@ -130,6 +132,8 @@ class GateMatrix(namedtuple("GateMatrix", "entries name", defaults=(None,))):
     def __post_init__(self) -> None:
         # perfbench/tracing.py counts matrix builds through this method, so it
         # keeps its name and runs exactly once per instance, from __init__.
+        if type(self.entries) is not tuple or any(type(row) is not tuple for row in self.entries):
+            raise TypeError("gate matrix entries must be a tuple of tuples")
         dim = len(self.entries)
         if dim not in (2, 4) or any(len(row) != dim for row in self.entries):
             raise ValueError("gate matrices must be square of dimension 2 or 4")
@@ -255,16 +259,31 @@ def basis_products(arity: int) -> tuple[tuple[tuple[BasisLabel, ...], Ket], ...]
 def classify(v: Ket) -> BasisLabel | tuple[BasisLabel, BasisLabel] | None:
     """Identify v within the spin eigenbasis, up to a scalar.
 
-    For dimension 2, returns the unique matching label, if any.  For
+    For dimension 2, returns the unique matching label, if any, read off
+    v = (a, b) in closed form: b = 0 is Z+, a = 0 is Z-, b = a is X+,
+    b = -a is X-, b = i*a is Y+ and b = -i*a is Y-.  These are the cross
+    products proportional would test against the fixed eigenvectors
+    (1, s), (1, 0) and (0, 1), at one ring multiply at most.  For
     dimension 4, returns the unique pair (qubit 1 label, qubit 2 label)
     whose tensor product is proportional to v; vectors that are entangled
     or have a non-eigenbasis factor yield None.  A missing classification
     is a meaningful result, not an error.
     """
     if v.dim == 2:
-        for label in BasisLabel:
-            if proportional(eigenvector(label), v):
-                return label
+        a, b = v.entries
+        if b == ZERO:
+            return BasisLabel.Z_PLUS
+        if a == ZERO:
+            return BasisLabel.Z_MINUS
+        if b == a:
+            return BasisLabel.X_PLUS
+        if b == -a:
+            return BasisLabel.X_MINUS
+        ia = IM * a
+        if b == ia:
+            return BasisLabel.Y_PLUS
+        if b == -ia:
+            return BasisLabel.Y_MINUS
         return None
     for labels, product in basis_products(2):
         if proportional(product, v):

@@ -386,6 +386,21 @@ def test_output_is_utf8_whatever_the_stdout_encoding(golden):
     assert proc.stdout == (golden_dir / golden).read_bytes()
 
 
+def test_import_loads_every_module_a_tracer_looks_up():
+    # perfbench/tracing.py wraps functions through sys.modules["hvlab.<name>"]
+    # as it installs, so `import hvlab.cli` must load all of these eagerly.
+    names = ("cyclotomic", "qstate", "derive", "triplets", "epr", "checks", "cli")
+    probe = (
+        "import sys\n"
+        "import hvlab.cli\n"
+        f"print(' '.join(n for n in {names!r} if 'hvlab.' + n not in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == []
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     probe = (
         "import sys\n"

@@ -6,7 +6,7 @@ derivation or the contradiction experiment does without a timer.
 
 import pytest
 
-from hvlab import triplets
+from hvlab import qstate, triplets
 from hvlab.checks import representation_checks
 from hvlab.cyclotomic import OMEGA, ONE, CycInt
 from hvlab.derive import derive
@@ -16,7 +16,7 @@ from hvlab.triplets import SignMonomial
 
 
 def count_calls(monkeypatch, method, cls=CycInt):
-    """Count calls of a method of `cls`, under each of its aliases, while the test runs."""
+    """Count calls of a method of `cls`, or a function of a module, under each alias."""
     calls = [0]
     original = cls.__dict__[method]
 
@@ -51,6 +51,16 @@ def warm_count(calls, fn):
 
 def test_multiplies_per_two_qubit_derivation(multiplies):
     assert warm_count(multiplies, lambda: derive(GATES["CNOT"])) <= 4_400
+
+
+@pytest.mark.parametrize("name", ("I", "X", "Y", "Z", "H", "S", "T"))
+def test_one_qubit_derivation_matches_in_closed_form(monkeypatch, multiplies, name):
+    # 24 multiplies apply the gate to the six eigenvectors; classify adds one
+    # for each image it must test against Y+-: two for a Clifford, four for T.
+    # Six proportional scans per image took 66 (94 for T).
+    scans = count_calls(monkeypatch, "proportional", qstate)
+    assert warm_count(multiplies, lambda: derive(GATES[name])) <= (28 if name == "T" else 26)
+    assert warm_count(scans, lambda: derive(GATES[name])) == 0
 
 
 def test_merge_evaluates_no_sign_monomial(monkeypatch):

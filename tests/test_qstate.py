@@ -4,10 +4,10 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hvlab.cyclotomic import IM, OMEGA, ONE, CycInt
+from hvlab.cyclotomic import IM, OMEGA, ONE, SQRT2, ZERO, CycInt
 from hvlab.qstate import (
     GATES,
     BasisLabel,
@@ -55,6 +55,7 @@ def test_eigenvectors_are_pauli_eigenstates():
 def test_ket_validation():
     zero = "the zero vector is not a state"
     not_ring = "ket entries must be CycInt values"
+    not_tuple = "ket entries must be a tuple"
     for call, error, message in (
         (lambda: Ket.of(0, 0), ValueError, zero),
         (lambda: Ket.of(0, 0, 0, 0), ValueError, zero),
@@ -64,6 +65,11 @@ def test_ket_validation():
         # The entry types are checked before the zero test.
         (lambda: Ket((CycInt(0), 0)), TypeError, not_ring),
         (lambda: Ket((CycInt(0), CycInt(0), CycInt(0), (0, 0, 0, 0))), TypeError, not_ring),
+        # A list could be edited after validation, into the zero vector say.
+        (lambda: Ket([ONE, ZERO]), TypeError, not_tuple),
+        (lambda: Ket([ONE, ZERO, ZERO]), TypeError, not_tuple),
+        (lambda: Ket([ZERO, ZERO]), TypeError, not_tuple),
+        (lambda: Ket([1, 0]), TypeError, not_tuple),
     ):
         with pytest.raises(error) as info:
             call()
@@ -91,6 +97,65 @@ def test_classify_single():
         assert classify(eigenvector(l)) is l
     assert classify(Ket.of(1, 2)) is None
     assert classify(Ket.of(ONE, OMEGA)) is None
+
+
+def reference_classify_single(v):
+    """The six-candidate proportional scan, in label order, for a 2-vector."""
+    for label in BasisLabel:
+        if proportional(eigenvector(label), v):
+            return label
+    return None
+
+
+# The largest, (1+w)^120, has coefficients of up to 106 bits.
+WIDE = [(ONE + OMEGA) ** k for k in range(121)]
+wide_ints = st.integers(-(2**200), 2**200)
+wide_scalars = st.builds(CycInt, wide_ints, wide_ints, wide_ints, wide_ints)
+nonzero_scalars = wide_scalars.filter(lambda c: c != ZERO)
+# The ring's units: a power of w times a power of 1+sqrt(2) or of its inverse.
+units = st.builds(
+    lambda j, m, inverse: OMEGA**j * (SQRT2 - 1 if inverse else SQRT2 + 1) ** m,
+    st.integers(0, 7),
+    st.integers(0, 4),
+    st.booleans(),
+)
+
+
+def test_classify_single_matches_the_scan_on_wide_scaled_eigenvectors():
+    assert max(abs(c).bit_length() for c in WIDE[120]) > 64
+    for label in LABELS:
+        for factor in WIDE:
+            v = eigenvector(label).scaled(factor)
+            assert classify(v) is reference_classify_single(v) is label, (label, factor)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(LABELS), st.sampled_from(WIDE), nonzero_scalars)
+def test_classify_single_matches_the_scan_on_scaled_eigenvectors(label, wide, scalar):
+    v = eigenvector(label).scaled(wide * scalar)
+    assert classify(v) is reference_classify_single(v) is label
+
+
+@settings(max_examples=300)
+@given(nonzero_scalars, st.sampled_from([ONE, -ONE, IM, -IM]), units)
+def test_classify_single_matches_the_scan_on_near_misses(a, s, delta):
+    v = Ket((a, s * a + delta))
+    assert classify(v) is reference_classify_single(v)
+
+
+@given(nonzero_scalars, st.sampled_from(WIDE))
+def test_classify_single_matches_the_scan_on_t_images(a, wide):
+    v = Ket((a, OMEGA * a))
+    assert classify(v) is reference_classify_single(v) is None
+    image = apply(GATES["T"], Ket((wide, a)))
+    assert classify(image) is reference_classify_single(image)
+
+
+@settings(max_examples=300)
+@given(st.tuples(wide_scalars, wide_scalars).filter(lambda e: e != (ZERO, ZERO)))
+def test_classify_single_matches_the_scan_on_arbitrary_vectors(entries):
+    v = Ket(entries)
+    assert classify(v) is reference_classify_single(v)
 
 
 def test_classify_pairs():
@@ -171,6 +236,19 @@ def test_matrix_validation():
         GateMatrix.of([[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         GateMatrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # Lists could be edited after the unitarity check; they are refused first.
+    identity = GATES["I"].entries
+    for entries in (
+        [list(row) for row in identity],
+        list(identity),
+        (identity[0], list(identity[1])),
+        [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]],
+        ([ZERO, ZERO], [ZERO, ZERO]),
+    ):
+        with pytest.raises(TypeError) as info:
+            GateMatrix(entries)
+        assert str(info.value) == "gate matrix entries must be a tuple of tuples"
+    assert GateMatrix(tuple(tuple(row) for row in identity)) == GATES["I"]
 
 
 def test_scaled_matrix_keeps_name_and_content():
