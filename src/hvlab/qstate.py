@@ -266,8 +266,10 @@ def classify(v: Ket) -> BasisLabel | tuple[BasisLabel, BasisLabel] | None:
     (1, s), (1, 0) and (0, 1), at one ring multiply at most.  For
     dimension 4, returns the unique pair (qubit 1 label, qubit 2 label)
     whose tensor product is proportional to v; vectors that are entangled
-    or have a non-eigenbasis factor yield None.  A missing classification
-    is a meaningful result, not an error.
+    or have a non-eigenbasis factor yield None.  An entangled v fails the
+    rank-1 determinant of separable (two ring multiplies) and is rejected
+    before the scan of the 36 products, none of which is proportional to
+    it.  A missing classification is a meaningful result, not an error.
     """
     if v.dim == 2:
         a, b = v.entries
@@ -284,6 +286,8 @@ def classify(v: Ket) -> BasisLabel | tuple[BasisLabel, BasisLabel] | None:
             return BasisLabel.Y_PLUS
         if b == -ia:
             return BasisLabel.Y_MINUS
+        return None
+    if not separable(v):
         return None
     for labels, product in basis_products(2):
         if proportional(product, v):

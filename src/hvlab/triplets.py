@@ -57,8 +57,12 @@ class SignMonomial(namedtuple("SignMonomial", "sign mask")):
     __add__, __radd__, __rmul__ = refused("+", "+", "*")
 
     def __init__(self, sign: int, mask: int) -> None:
-        if sign not in (-1, 1):
+        # Plain ints only: 1.0 and True compare equal to 1, and a negative
+        # mask has infinitely many bits set.
+        if type(sign) is not int or sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+        if type(mask) is not int or mask < 0:
+            raise ValueError(f"mask must be a non-negative int, got {mask!r}")
 
     @classmethod
     def constant(cls, sign: int) -> SignMonomial:
@@ -103,7 +107,7 @@ class Triplet(namedtuple("Triplet", "x y z")):
 
     def __init__(self, x: int, y: int, z: int) -> None:
         for axis, value in zip(AXES, self):
-            if value not in (-1, 1):
+            if type(value) is not int or value not in (-1, 1):
                 raise ValueError(f"{axis} component must be -1 or +1, got {value!r}")
 
     def component(self, axis: str) -> int:

@@ -7,7 +7,7 @@ derivation or the contradiction experiment does without a timer.
 import pytest
 
 from hvlab import qstate, triplets
-from hvlab.checks import representation_checks
+from hvlab.checks import oracle_checks, representation_checks
 from hvlab.cyclotomic import OMEGA, ONE, CycInt
 from hvlab.derive import derive
 from hvlab.epr import contradiction_report
@@ -50,7 +50,17 @@ def warm_count(calls, fn):
 
 
 def test_multiplies_per_two_qubit_derivation(multiplies):
-    assert warm_count(multiplies, lambda: derive(GATES["CNOT"])) <= 4_400
+    # The rank-1 test rejects CNOT's 16 entangled images at two multiplies
+    # each, so only its 20 product images are scanned (4 198 when every
+    # image was scanned).
+    assert warm_count(multiplies, lambda: derive(GATES["CNOT"])) <= 2_600
+
+
+def test_entangled_images_skip_the_product_scan(monkeypatch):
+    # A product image costs one call per candidate up to its match, 450 for
+    # the 20 of them; the 16 entangled images took 36 calls each (1 026).
+    scans = count_calls(monkeypatch, "proportional", qstate)
+    assert warm_count(scans, lambda: derive(GATES["CNOT"])) <= 450
 
 
 @pytest.mark.parametrize("name", ("I", "X", "Y", "Z", "H", "S", "T"))
@@ -75,9 +85,14 @@ def test_multiplies_per_contradiction_report(multiplies):
 
 
 def test_multiplies_per_representation_check_suite(multiplies):
-    # The H, S and CNOT mapping tables need 4 330 between them; enumerating
-    # each table twice doubles that.
-    assert warm_count(multiplies, representation_checks) <= 4_400
+    # The H, S and CNOT mapping tables, each built once; the CNOT table is
+    # most of it, as in a two-qubit derivation (4 250 before the rank-1 test).
+    assert warm_count(multiplies, representation_checks) <= 2_600
+
+
+def test_multiplies_per_oracle_check_suite(multiplies):
+    # The suite classifies one entangled image: 3 230 when it was scanned.
+    assert warm_count(multiplies, oracle_checks) <= 3_210
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hvlab.cyclotomic import IM, OMEGA, ONE, SQRT2, ZERO, CycInt
@@ -182,17 +182,19 @@ def reference_classify(v):
     return matches[0] if matches else None
 
 
+PRODUCTS = [tensor(eigenvector(l1), eigenvector(l2)) for l1 in LABELS for l2 in LABELS]
+
+
 def test_classify_pairs_agrees_with_brute_force_reference():
-    products = [tensor(eigenvector(l1), eigenvector(l2)) for l1 in LABELS for l2 in LABELS]
     gates = [
         GATES["CNOT"],
         kron(GATES["H"], GATES["I"]),
         kron(GATES["S"], GATES["T"]),
         kron(GATES["T"], GATES["I"]),
     ]
-    images = [[apply(g, v) for v in products] for g in gates]
+    images = [[apply(g, v) for v in PRODUCTS] for g in gates]
     assert [sum(classify(v) is not None for v in row) for row in images] == [20, 36, 12, 12]
-    scaled = [[v.scaled(s) for v in products] for s in (OMEGA, ONE + OMEGA)]
+    scaled = [[v.scaled(s) for v in PRODUCTS] for s in (OMEGA, ONE + OMEGA)]
     for v in itertools.chain(*images, *scaled):
         assert classify(v) == reference_classify(v), v
     off_basis = [Ket.of(1, 2), Ket.of(ONE, OMEGA), Ket.of(ONE, ONE + OMEGA)]
@@ -200,6 +202,48 @@ def test_classify_pairs_agrees_with_brute_force_reference():
         for label in LABELS:
             for v in (tensor(factor, eigenvector(label)), tensor(eigenvector(label), factor)):
                 assert classify(v) is None and reference_classify(v) is None, v
+
+
+# Bell-type vectors a|00> + s|11> and a|01> + s|10>, and CNOT of every product:
+# 16 of those 36 images are entangled, the other 20 are products.
+BELL_TYPE = [
+    Ket((a, ZERO, ZERO, s)) if even else Ket((ZERO, a, s, ZERO))
+    for even in (True, False)
+    for a in (ONE, IM, OMEGA)
+    for s in (ONE, -ONE, IM, -IM, OMEGA, ONE + OMEGA)
+]
+CNOT_IMAGES = [apply(GATES["CNOT"], v) for v in PRODUCTS]
+
+
+def test_bell_type_and_cnot_images_cover_both_branches():
+    assert not any(separable(v) for v in BELL_TYPE)
+    assert sum(not separable(v) for v in CNOT_IMAGES) == 16
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(BELL_TYPE + CNOT_IMAGES), st.sampled_from(WIDE))
+def test_classify_pairs_matches_brute_force_on_wide_bell_type_and_cnot_images(v, wide):
+    v = v.scaled(wide)
+    expected = reference_classify(v)
+    assert classify(v) == expected
+    assert separable(v) or expected is None
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(PRODUCTS), st.sampled_from(WIDE), st.integers(0, 3), units)
+def test_classify_pairs_matches_brute_force_on_near_products(product, wide, j, delta):
+    entries = list(product.scaled(wide).entries)
+    entries[j] = entries[j] + delta
+    assume(any(e != ZERO for e in entries))
+    v = Ket(tuple(entries))
+    assert classify(v) == reference_classify(v)
+
+
+@settings(max_examples=300)
+@given(st.tuples(*[wide_scalars] * 4).filter(lambda e: any(c != ZERO for c in e)))
+def test_classify_pairs_matches_brute_force_on_arbitrary_vectors(entries):
+    v = Ket(entries)
+    assert classify(v) == reference_classify(v)
 
 
 @given(st.sampled_from(LABELS), st.sampled_from(LABELS), scalars, scalars)

@@ -48,6 +48,21 @@ def test_monomial_validation():
         SignMonomial(0, 0)
     with pytest.raises(ValueError):
         SignMonomial(2, 0)
+    # A negative mask would render as x1 yet evaluate as if every higher
+    # variable were a member; floats and bools compare equal to ints.
+    for sign, mask, message in (
+        (1, -1, "mask must be a non-negative int, got -1"),
+        (-1, -8, "mask must be a non-negative int, got -8"),
+        (1, 2.5, "mask must be a non-negative int, got 2.5"),
+        (1, 1.0, "mask must be a non-negative int, got 1.0"),
+        (1, True, "mask must be a non-negative int, got True"),
+        (1.0, 3, "sign must be -1 or +1, got 1.0"),
+        (-1.0, 0, "sign must be -1 or +1, got -1.0"),
+        (True, 0, "sign must be -1 or +1, got True"),
+    ):
+        with pytest.raises(ValueError) as info:
+            SignMonomial(sign, mask)
+        assert str(info.value) == message
 
 
 def test_monomial_multiplication_cancels_squares():
@@ -93,6 +108,14 @@ def test_triplet_validation_and_rendering():
         Triplet(1, 0, 1)
     with pytest.raises(ValueError):
         Triplet(2, 1, 1)
+    for components, message in (
+        ((1.0, True, -1), "x component must be -1 or +1, got 1.0"),
+        ((1, True, -1), "y component must be -1 or +1, got True"),
+        ((1, -1, -1.0), "z component must be -1 or +1, got -1.0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Triplet(*components)
+        assert str(info.value) == message
 
 
 def test_all_triplets():

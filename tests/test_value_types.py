@@ -59,12 +59,20 @@ CASES = {
     SignMonomial: (
         lambda: SignMonomial(-1, 0b10001),  # -x1.y2
         "sign",
-        [(lambda: SignMonomial(0, 0), ValueError, "sign must be -1 or +1, got 0")],
+        [
+            (lambda: SignMonomial(0, 0), ValueError, "sign must be -1 or +1, got 0"),
+            (lambda: SignMonomial(1.0, 3), ValueError, "sign must be -1 or +1, got 1.0"),
+            (lambda: SignMonomial(1, -1), ValueError, "mask must be a non-negative int, got -1"),
+            (lambda: SignMonomial(1, 2.5), ValueError, "mask must be a non-negative int, got 2.5"),
+        ],
     ),
     Triplet: (
         lambda: Triplet(1, -1, 1),
         "x",
-        [(lambda: Triplet(1, 0, 1), ValueError, "y component must be -1 or +1, got 0")],
+        [
+            (lambda: Triplet(1, 0, 1), ValueError, "y component must be -1 or +1, got 0"),
+            (lambda: Triplet(1.0, True, -1), ValueError, "x component must be -1 or +1, got 1.0"),
+        ],
     ),
     SymTriplet: (lambda: SymTriplet.generic(1), "x", []),
     Constraint: (
