@@ -7,6 +7,11 @@ by ``w^4 = -1``.  The ring contains the imaginary unit (``w^2``) and
 package, so no floating point appears anywhere.  Coefficients are plain
 Python integers: arithmetic is exact at any magnitude and can never
 silently wrap.
+
+The vector kernel :func:`dot` sums paired products on the raw
+coefficients and builds one validated element per result, so a
+matrix-vector product or an inner product makes no intermediate ring
+elements.
 """
 
 from __future__ import annotations
@@ -120,6 +125,31 @@ class CycInt(namedtuple("CycInt", "a b c d", defaults=(0, 0, 0))):
             else:
                 terms.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(terms) if terms else "0"
+
+
+def dot(xs, ys, conjugate_left: bool = False) -> CycInt:
+    """The sum of ``x*y`` (``conj(x)*y`` if conjugate_left) over paired elements.
+
+    The sum runs on plain-int coefficients with the product rule of
+    CycInt.__mul__ and builds one CycInt, the result: the products and
+    partial sums never become ring elements.  Both sequences must hold
+    CycInt values and have the same length.
+    """
+    s0 = s1 = s2 = s3 = 0
+    if conjugate_left:
+        # conj(a + b*w + c*w^2 + d*w^3) = a - d*w - c*w^2 - b*w^3.
+        for (a, b, c, d), (e, f, g, h) in zip(xs, ys, strict=True):
+            s0 += a * e + b * f + c * g + d * h
+            s1 += a * f + b * g + c * h - d * e
+            s2 += a * g + b * h - c * e - d * f
+            s3 += a * h - b * e - c * f - d * g
+    else:
+        for (a, b, c, d), (e, f, g, h) in zip(xs, ys, strict=True):
+            s0 += a * e - b * h - c * g - d * f
+            s1 += a * f + b * e - c * h - d * g
+            s2 += a * g + b * f + c * e - d * h
+            s3 += a * h + b * g + c * f + d * e
+    return CycInt(s0, s1, s2, s3)
 
 
 ZERO = CycInt(0)

@@ -42,7 +42,10 @@ ASSIGNMENTS = tuple(
 Pair = tuple[SymTriplet, SymTriplet]
 
 # Both qubits in the minus z-eigenstate: free x and y, z fixed at -1.
-START: Pair = tuple(SymTriplet.generic(q)._replace(z=SignMonomial.constant(-1)) for q in (1, 2))
+START: Pair = tuple(
+    SymTriplet(*(SignMonomial.variable((q, axis)) for axis in "xy"), SignMonomial.constant(-1))
+    for q in (1, 2)
+)
 
 # The two branches, as circuits: a beam splitter on qubit A, then a cnot
 # from A to B, with or without a quarter-turn phase shifter on A first.

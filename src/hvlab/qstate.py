@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 
 from ._tuples import refused
-from .cyclotomic import IM, OMEGA, ONE, ZERO, CycInt
+from .cyclotomic import IM, OMEGA, ONE, ZERO, CycInt, dot
 
 
 class BasisLabel(Enum):
@@ -85,14 +85,17 @@ class Ket(namedtuple("Ket", "entries")):
 
 
 def _gram_scale(entries: tuple[tuple[CycInt, ...], ...]) -> CycInt | None:
-    """Return kappa with M'M = kappa*I (conjugate-transpose M'), else None."""
-    dim = len(entries)
+    """Return kappa with M'M = kappa*I (conjugate-transpose M'), else None.
+
+    Entry (i, j) of M'M is the inner product of columns i and j.  M'M is
+    Hermitian, so entry (j, i) is the conjugate of (i, j): the entries on
+    and above the diagonal decide.
+    """
+    columns = tuple(zip(*entries))
     scale: CycInt | None = None
-    for i in range(dim):
-        for j in range(dim):
-            acc = ZERO
-            for row in entries:
-                acc = acc + row[i].conjugate() * row[j]
+    for i, left in enumerate(columns):
+        for j in range(i, len(columns)):
+            acc = dot(left, columns[j], conjugate_left=True)
             if i != j:
                 if not acc.is_zero():
                     return None
@@ -160,17 +163,16 @@ class GateMatrix(namedtuple("GateMatrix", "entries name", defaults=(None,))):
 
 
 def apply(g: GateMatrix, v: Ket) -> Ket:
-    """Exact matrix-vector product."""
+    """Exact matrix-vector product.
+
+    Each entry of the image is one :func:`~hvlab.cyclotomic.dot` of a row
+    with the vector: the kernel works on raw coefficients and builds one
+    validated CycInt per entry.
+    """
     rows, ve = g.entries, v.entries
     if len(rows) != len(ve):
         raise ValueError(f"dimension mismatch: gate {len(rows)}, ket {len(ve)}")
-    out = []
-    for row in rows:
-        acc = ZERO
-        for m, e in zip(row, ve):
-            acc = acc + m * e
-        out.append(acc)
-    return Ket(tuple(out))
+    return Ket(tuple([dot(row, ve) for row in rows]))
 
 
 # The index pairs i < j of a 2- or 4-vector, in the order proportional tries them.
@@ -222,8 +224,14 @@ def run_ket(circuit: tuple, ket: Ket) -> Ket:
         g = GATES[name]
         if qubits != ((1,) if g.dim == 2 else (1, 2)):
             raise ValueError(f"{name} on qubits {qubits} cannot run on a two-qubit ket")
-        ket = apply(kron(g, GATES["I"]) if g.dim == 2 else g, ket)
+        ket = apply(_embedded(name) if g.dim == 2 else g, ket)
     return ket
+
+
+@functools.cache
+def _embedded(name: str) -> GateMatrix:
+    """g⊗I for the built-in one-qubit gate g named by name, built on first use."""
+    return kron(GATES[name], GATES["I"])
 
 
 def separable(v: Ket) -> bool:
@@ -300,15 +308,12 @@ def inner(v: Ket, w: Ket) -> CycInt:
     ve, we = v.entries, w.entries
     if len(ve) != len(we):
         raise ValueError(f"dimension mismatch: {len(ve)} vs {len(we)}")
-    acc = ZERO
-    for a, b in zip(ve, we):
-        acc = acc + a.conjugate() * b
-    return acc
+    return dot(ve, we, conjugate_left=True)
 
 
 def bell_psi_minus() -> Ket:
     """The maximally entangled singlet (0, 1, -1, 0), i.e. |01> - |10>."""
-    return Ket.of(0, 1, -1, 0)
+    return _BELL_PSI_MINUS
 
 
 def predicts_opposite(v: Ket, axis: str) -> bool:
@@ -426,6 +431,8 @@ _EIGENVECTORS = {
     BasisLabel.Z_PLUS: Ket.of(1, 0),
     BasisLabel.Z_MINUS: Ket.of(0, 1),
 }
+
+_BELL_PSI_MINUS = Ket.of(0, 1, -1, 0)
 
 GATES = {
     "I": GateMatrix.of([[1, 0], [0, 1]], "I"),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from ._tuples import refused
 
@@ -120,15 +120,17 @@ class Triplet(namedtuple("Triplet", "x y z")):
         return f"⟨{fmt(self.x)}, {fmt(self.y)}, {fmt(self.z)}⟩"
 
 
-class SymTriplet(NamedTuple):
+class SymTriplet(namedtuple("SymTriplet", "x y z")):
     """Symbolic hidden state: one sign monomial per measurement axis."""
 
-    x: SignMonomial
-    y: SignMonomial
-    z: SignMonomial
-
+    __slots__ = ()
     __lt__, __le__, __gt__, __ge__ = refused("<", "<=", ">", ">=")
     __add__, __radd__, __mul__, __rmul__ = refused("+", "+", "*", "*")
+
+    def __init__(self, x: SignMonomial, y: SignMonomial, z: SignMonomial) -> None:
+        for axis, value in zip(AXES, self):
+            if not isinstance(value, SignMonomial):
+                raise ValueError(f"{axis} component must be a sign monomial, got {value!r}")
 
     @classmethod
     def generic(cls, qubit: int) -> SymTriplet:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hvlab.cyclotomic import IM, OMEGA, ONE, SQRT2, ZERO, CycInt
+from hvlab.cyclotomic import IM, OMEGA, ONE, SQRT2, ZERO, CycInt, dot
 
 W = cmath.exp(1j * math.pi / 4)
 
@@ -178,6 +178,36 @@ def test_ring_operations_match_exact_reference(u, v, n):
     assert exact(n - u) == tuple(q - p for p, q in zip(x, m))
     assert exact(-u) == tuple(-p for p in x)
     assert exact(u.conjugate()) == ref_conjugate(x)
+
+
+def ref_dot(xs, ys, conjugate_left):
+    """Sum of the reference products, conjugating each left factor if asked."""
+    out = [0] * 4
+    for x, y in zip(xs, ys):
+        for k, p in enumerate(ref_mul(ref_conjugate(x) if conjugate_left else x, y)):
+            out[k] += p
+    return tuple(out)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(*[st.tuples(wide_cycints, wide_cycints)] * n)))
+def test_dot_matches_exact_reference(pairs):
+    xs = tuple(x for x, _ in pairs)
+    ys = tuple(y for _, y in pairs)
+    for conjugate_left in (False, True):
+        expected = ref_dot(map(tuple, xs), map(tuple, ys), conjugate_left)
+        assert exact(dot(xs, ys, conjugate_left)) == expected
+        assert exact(dot(xs, ys, conjugate_left=conjugate_left)) == expected
+
+
+def test_dot_examples_and_length_check():
+    assert dot((), ()) == ZERO
+    assert dot((OMEGA, IM), (OMEGA**3, IM)) == -ONE + -ONE
+    assert dot((OMEGA, IM), (OMEGA, IM), conjugate_left=True) == CycInt(2)
+    assert dot((SQRT2,), (SQRT2,), conjugate_left=True) == CycInt(2)
+    for xs, ys in (((ONE,), (ONE, ONE)), ((ONE, ONE), (ONE,))):
+        for conjugate_left in (False, True):
+            with pytest.raises(ValueError):
+                dot(xs, ys, conjugate_left)
 
 
 class Int(int):

@@ -63,6 +63,9 @@ def test_start_state():
     assert pair[1].evaluate(every_plus) == Triplet(1, 1, -1)
     assert pair[0].z == SignMonomial.constant(-1)
     assert pair[1].z == SignMonomial.constant(-1)
+    # Built through the validating constructor, so rebuilding changes nothing.
+    assert all(type(t) is SymTriplet and SymTriplet(*t) == t for t in pair)
+    assert all(type(m) is SignMonomial for t in pair for m in t)
 
 
 def test_report_indices_map_to_global_bits():

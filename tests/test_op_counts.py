@@ -2,16 +2,20 @@
 
 Counts do not depend on the hardware, so they can bound the work a
 derivation or the contradiction experiment does without a timer.
+``CycInt.__mul__`` does not see the products fused inside
+``cyclotomic.dot`` (the matrix-vector and inner products), so the builds
+of validated ring elements, one per ``CycInt.__init__``, carry the cost
+signal of those kernels.
 """
 
 import pytest
 
 from hvlab import qstate, triplets
 from hvlab.checks import oracle_checks, representation_checks
-from hvlab.cyclotomic import OMEGA, ONE, CycInt
+from hvlab.cyclotomic import OMEGA, ONE, CycInt, dot
 from hvlab.derive import derive
 from hvlab.epr import contradiction_report
-from hvlab.qstate import GATES
+from hvlab.qstate import GATES, GateMatrix, Ket
 from hvlab.triplets import SignMonomial
 
 
@@ -52,8 +56,16 @@ def warm_count(calls, fn):
 def test_multiplies_per_two_qubit_derivation(multiplies):
     # The rank-1 test rejects CNOT's 16 entangled images at two multiplies
     # each, so only its 20 product images are scanned (4 198 when every
-    # image was scanned).
-    assert warm_count(multiplies, lambda: derive(GATES["CNOT"])) <= 2_600
+    # image was scanned).  The 36 images themselves are fused dots (2 534
+    # multiplies when apply multiplied through the operators).
+    assert warm_count(multiplies, lambda: derive(GATES["CNOT"])) <= 1_960
+
+
+def test_builds_per_two_qubit_derivation(builds):
+    # apply builds one element per entry of the 36 images, 144 in all; the
+    # rest are classify's (3 110 builds when every partial product and sum
+    # of apply was a ring element).
+    assert warm_count(builds, lambda: derive(GATES["CNOT"])) <= 2_110
 
 
 def test_entangled_images_skip_the_product_scan(monkeypatch):
@@ -64,12 +76,16 @@ def test_entangled_images_skip_the_product_scan(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ("I", "X", "Y", "Z", "H", "S", "T"))
-def test_one_qubit_derivation_matches_in_closed_form(monkeypatch, multiplies, name):
-    # 24 multiplies apply the gate to the six eigenvectors; classify adds one
-    # for each image it must test against Y+-: two for a Clifford, four for T.
-    # Six proportional scans per image took 66 (94 for T).
+def test_one_qubit_derivation_matches_in_closed_form(monkeypatch, multiplies, builds, name):
+    # classify multiplies once for each image it must test against Y+-: two
+    # for a Clifford, four for T.  Applying the gate to the six eigenvectors
+    # took 24 more before apply fused its products (26 and 28), and six
+    # proportional scans per image took 66 and 94.  Each image entry is one
+    # build, 12 in all; the others are the -a, i*a and -i*a that classify
+    # tests (54 and 60 builds before the fused apply).
     scans = count_calls(monkeypatch, "proportional", qstate)
-    assert warm_count(multiplies, lambda: derive(GATES[name])) <= (28 if name == "T" else 26)
+    assert warm_count(multiplies, lambda: derive(GATES[name])) <= (4 if name == "T" else 2)
+    assert warm_count(builds, lambda: derive(GATES[name])) <= (24 if name == "T" else 18)
     assert warm_count(scans, lambda: derive(GATES[name])) == 0
 
 
@@ -81,18 +97,37 @@ def test_merge_evaluates_no_sign_monomial(monkeypatch):
 
 
 def test_multiplies_per_contradiction_report(multiplies):
-    assert warm_count(multiplies, contradiction_report) <= 100
+    # predicts_opposite takes one apply and two inner products per axis, all
+    # fused (72 multiplies through the operators).
+    assert warm_count(multiplies, contradiction_report) == 0
+
+
+def test_builds_per_contradiction_report(monkeypatch, builds):
+    # The singlet is built once per process, not on each of its four calls:
+    # 187 builds with the operator loops, 37 with fused products and a new
+    # singlet per call.
+    kets = count_calls(monkeypatch, "__init__", Ket)
+    assert warm_count(builds, contradiction_report) <= 21
+    assert warm_count(kets, contradiction_report) <= 3
 
 
 def test_multiplies_per_representation_check_suite(multiplies):
     # The H, S and CNOT mapping tables, each built once; the CNOT table is
-    # most of it, as in a two-qubit derivation (4 250 before the rank-1 test).
-    assert warm_count(multiplies, representation_checks) <= 2_600
+    # most of it, as in a two-qubit derivation (4 250 before the rank-1 test,
+    # 2 586 before the fused apply).
+    assert warm_count(multiplies, representation_checks) <= 1_965
 
 
 def test_multiplies_per_oracle_check_suite(multiplies):
-    # The suite classifies one entangled image: 3 230 when it was scanned.
-    assert warm_count(multiplies, oracle_checks) <= 3_210
+    # The suite classifies one entangled image: 3 230 when it was scanned,
+    # 3 206 before the fused apply.
+    assert warm_count(multiplies, oracle_checks) <= 2_860
+
+
+def test_oracle_check_suite_builds_no_gate(monkeypatch):
+    # run_ket embeds H as H(x)I once per process, not on every step.
+    gates = count_calls(monkeypatch, "__post_init__", GateMatrix)
+    assert warm_count(gates, oracle_checks) == 0
 
 
 @pytest.fixture
@@ -130,3 +165,12 @@ def test_each_ring_product_is_built_and_validated_once(builds, multiplies):
     for factor in factors:
         product = product * factor
     assert multiplies[0] == builds[0] == len(factors)
+
+
+def test_a_dot_product_builds_one_ring_element(builds, multiplies):
+    xs = tuple(CycInt(k, -k, 2**70 * k, 1) for k in range(1, 5))
+    ys = tuple(reversed(xs))
+    for conjugate_left in (False, True):
+        builds[0] = 0
+        dot(xs, ys, conjugate_left)
+        assert builds[0] == 1 and multiplies[0] == 0

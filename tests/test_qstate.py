@@ -1,5 +1,6 @@
 """Exact state-vector oracle: eigenbasis, gates, classification, predictions."""
 
+import functools
 import itertools
 import json
 
@@ -13,6 +14,7 @@ from hvlab.qstate import (
     BasisLabel,
     GateMatrix,
     Ket,
+    _gram_scale,
     apply,
     bell_psi_minus,
     classify,
@@ -346,6 +348,148 @@ def test_inner_product():
     assert inner(yp, yp) == CycInt(2)
     assert inner(yp, ym).is_zero()
     assert inner(Ket.of(ONE, IM), Ket.of(1, 1)) == ONE - IM
+
+
+def reference_apply(g, v):
+    """The operator loop apply ran before the fused kernel: a CycInt per step."""
+    out = []
+    for row in g.entries:
+        acc = ZERO
+        for m, e in zip(row, v.entries):
+            acc = acc + m * e
+        out.append(acc)
+    return Ket(tuple(out))
+
+
+def reference_inner(v, w):
+    """The operator loop inner ran before the fused kernel."""
+    acc = ZERO
+    for a, b in zip(v.entries, w.entries):
+        acc = acc + a.conjugate() * b
+    return acc
+
+
+def reference_gram_scale(entries):
+    """The operator loop _gram_scale ran before the fused kernel, on all of M'M."""
+    dim = len(entries)
+    scale = None
+    for i in range(dim):
+        for j in range(dim):
+            acc = ZERO
+            for row in entries:
+                acc = acc + row[i].conjugate() * row[j]
+            if i != j:
+                if not acc.is_zero():
+                    return None
+            elif scale is None:
+                scale = acc
+            elif acc != scale:
+                return None
+    return scale
+
+
+def compose(a, b):
+    """The matrix product a*b through the ring operators."""
+    dim = a.dim
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = ZERO
+            for k in range(dim):
+                acc = acc + a.entries[i][k] * b.entries[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return GateMatrix(tuple(rows))
+
+
+small_ints = st.integers(-3, 3)
+small_scalars = st.builds(CycInt, small_ints, small_ints, small_ints, small_ints)
+# Kernel operands: zeros, small signed coefficients, and elements scaled by
+# (1+w)^k with k >= 90, whose coefficients pass 64 bits.
+kernel_entries = st.one_of(
+    st.just(ZERO),
+    small_scalars,
+    st.builds(lambda c, k: c * WIDE[k], small_scalars, st.integers(90, 120)),
+)
+dims = st.sampled_from([2, 4])
+ONE_QUBIT_GATES = [GATES[name] for name in "IXYZHST"]
+GATE_POOLS = {
+    2: ONE_QUBIT_GATES,
+    4: [kron(a, b) for a in ONE_QUBIT_GATES for b in ONE_QUBIT_GATES] + [GATES["CNOT"]],
+}
+
+
+def kernel_kets(dim):
+    return st.tuples(*[kernel_entries] * dim).filter(lambda e: e.count(ZERO) < dim).map(Ket)
+
+
+def kernel_matrices(dim):
+    return st.tuples(*[st.tuples(*[kernel_entries] * dim)] * dim)
+
+
+def kernel_gates(dim):
+    """Words of built-in gates, multiplied out and scaled by a nonzero operand."""
+    return st.builds(
+        lambda word, factor: functools.reduce(compose, word).scaled(factor),
+        st.lists(st.sampled_from(GATE_POOLS[dim]), min_size=1, max_size=4),
+        kernel_entries.filter(lambda c: c != ZERO),
+    )
+
+
+def perturbed_gates(dim):
+    """A gate's entries with one entry moved off by a nonzero operand."""
+
+    def perturb(g, i, j, delta):
+        rows = [list(row) for row in g.entries]
+        rows[i][j] = rows[i][j] + delta
+        return tuple(tuple(row) for row in rows)
+
+    index = st.integers(0, dim - 1)
+    return st.builds(
+        perturb, kernel_gates(dim), index, index, kernel_entries.filter(lambda c: c != ZERO)
+    )
+
+
+def exact(value):
+    """The value, after checking it is a CycInt of plain ints."""
+    assert type(value) is CycInt and all(type(coeff) is int for coeff in value)
+    return value
+
+
+def test_kernel_operands_pass_64_bits():
+    assert max(abs(c).bit_length() for c in WIDE[90]) > 64
+
+
+@settings(max_examples=300)
+@given(dims.flatmap(lambda n: st.tuples(kernel_gates(n), kernel_kets(n))))
+def test_apply_matches_the_operator_loop(case):
+    g, v = case
+    image = apply(g, v)
+    assert image == reference_apply(g, v)
+    assert all(exact(e) is e for e in image.entries)
+
+
+@settings(max_examples=300)
+@given(dims.flatmap(lambda n: st.tuples(kernel_kets(n), kernel_kets(n))))
+def test_inner_matches_the_operator_loop(case):
+    v, w = case
+    assert exact(inner(v, w)) == reference_inner(v, w)
+    assert exact(inner(v, v)) == reference_inner(v, v)
+
+
+@settings(max_examples=300)
+@given(
+    dims.flatmap(
+        lambda n: st.one_of(
+            kernel_matrices(n), kernel_gates(n).map(lambda g: g.entries), perturbed_gates(n)
+        )
+    )
+)
+def test_gram_scale_matches_the_operator_loop(entries):
+    scale = _gram_scale(entries)
+    assert scale == reference_gram_scale(entries)
+    assert scale is None or exact(scale) is scale
 
 
 def test_predicts_opposite():

@@ -74,7 +74,32 @@ CASES = {
             (lambda: Triplet(1.0, True, -1), ValueError, "x component must be -1 or +1, got 1.0"),
         ],
     ),
-    SymTriplet: (lambda: SymTriplet.generic(1), "x", []),
+    SymTriplet: (
+        lambda: SymTriplet.generic(1),
+        "x",
+        [
+            (
+                lambda: SymTriplet(1, "a", None),
+                ValueError,
+                "x component must be a sign monomial, got 1",
+            ),
+            (
+                lambda: SymTriplet(SignMonomial(1, 1), "a", None),
+                ValueError,
+                "y component must be a sign monomial, got 'a'",
+            ),
+            (
+                lambda: SymTriplet(SignMonomial(1, 1), SignMonomial(1, 2), (1, 4)),
+                ValueError,
+                "z component must be a sign monomial, got (1, 4)",
+            ),
+            (
+                lambda: SymTriplet(Triplet(1, 1, 1), SignMonomial(1, 2), SignMonomial(1, 4)),
+                ValueError,
+                "x component must be a sign monomial, got Triplet(x=1, y=1, z=1)",
+            ),
+        ],
+    ),
     Constraint: (
         lambda: extract_constraints(enumerate_mappings(GATES["H"]))[0],
         "premise",
