@@ -29,7 +29,6 @@ from .qstate import (
     bell_psi_minus,
     classify,
     eigenvector,
-    gate,
     kron,
     load_gate,
     predicts_opposite,

@@ -3,8 +3,9 @@
 Two suites, both exhaustive. ``representation_checks`` confirms that the
 hand-written triplet rules are exactly what the derivation engine forces
 from the gate matrices, plus their algebraic laws (involutions, symbolic
-and concrete agreement); it takes the rules as one mapping from gate name
-to rule function, so a test can pass a corrupted rule.  ``oracle_checks``
+and concrete agreement); it runs each rule through
+:func:`~hvlab.triplets.run`, which looks it up in :mod:`hvlab.triplets`, so
+a rule replaced there is the one checked.  ``oracle_checks``
 exercises the state-vector side alone: unitarity scales, eigenbasis
 mappings, the experiment's no-shift circuit, and the exact
 anti-correlation predicate.
@@ -54,13 +55,8 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def representation_checks(rules=None) -> list[CheckResult]:
-    """Coherence of the triplet rules with algebra, derivation, and oracle.
-
-    ``rules`` maps each gate name of :data:`~hvlab.triplets.RULES` to its
-    rule function, as :func:`~hvlab.triplets.run` takes it; the default is
-    the builtin rules.
-    """
+def representation_checks() -> list[CheckResult]:
+    """Coherence of the triplet rules with algebra, derivation, and oracle."""
     powers, derivations = [], []
     coherent = cases = 0
     tables = {}
@@ -70,7 +66,7 @@ def representation_checks(rules=None) -> list[CheckResult]:
         qubits = tuple(range(1, table.arity + 1))
         step = ((name, qubits),)
         rep = merge(extract_constraints(table), table.arity)
-        symbolic = run(step, tuple(SymTriplet.generic(q) for q in qubits), rules)[-1]
+        symbolic = run(step, tuple(SymTriplet.generic(q) for q in qubits))[-1]
         ok = rep.all_total and rep.sym_triplets() == symbolic
         detail = representation_str(name.lower(), rep) if rep.all_total else "not total"
         derivations.append(CheckResult(f"{name} derivation matches builtin rule", ok, detail))
@@ -81,7 +77,7 @@ def representation_checks(rules=None) -> list[CheckResult]:
         inputs = list(itertools.product(all_triplets(), repeat=table.arity))
         hits = 0
         for ins in inputs:
-            states = run(step * order, ins, rules)
+            states = run(step * order, ins)
             hits += states[-1] == ins
             coherent += states[1] == tuple(t.evaluate(assignment_index(ins)) for t in symbolic)
         cases += len(inputs)

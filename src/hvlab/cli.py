@@ -4,7 +4,7 @@ Every subcommand emits one report, as text or as JSON carrying the same
 content, and exit codes separate the scientific answer from operational
 failure: 0 means the expected result, 2 (derive only) means no faithful
 functional representation exists, which is a finding rather than an
-error, and 1 means bad input or a failed check.
+error, and 1 means bad input, a usage error included, or a failed check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from .checks import checks_report, oracle_checks, render_checks_text, representation_checks
 from .derive import derivation_report, render_derivation_text
 from .epr import contradiction_report, epr_report, render_contradiction_text, render_epr_text
-from .qstate import GATES, gate, load_gate
+from .qstate import GATES, load_gate
 
 
 def _emit(report: dict, fmt: str, renderer) -> None:
@@ -28,15 +28,9 @@ def _emit(report: dict, fmt: str, renderer) -> None:
         print(renderer(report))
 
 
-def _resolve_gate(name_or_path: str):
-    if name_or_path in GATES:
-        return gate(name_or_path)
-    return load_gate(name_or_path)
-
-
 def _cmd_derive(args) -> int:
     try:
-        g = _resolve_gate(args.gate)
+        g = GATES[args.gate] if args.gate in GATES else load_gate(args.gate)
         report = derivation_report(g)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -122,7 +116,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 is derive's finding:
+        # a usage error is bad input and exits 1.
+        if exc.code != 2:
+            raise
+        raise SystemExit(1) from None
     return args.handler(args)
 
 

@@ -9,11 +9,12 @@ the classified input components form the premise, each classified output
 component a conclusion.  ``merge`` then asks, for every output component
 and every sign assignment, which value the constraints force.  It works
 on assignment indices over the global variable bits of
-:mod:`hvlab.triplets` (x1 is bit 0, z2 bit 5, a set bit meaning +1): each
-premise compiles once to a bit mask and value, and each component keeps
-one list of forced-sign flags per index.  A component forced everywhere
-is interpolated as a sign monomial by bit flips and parities; anything
-less is reported as partial or undetermined rather than guessed.
+:mod:`hvlab.triplets` (x1 is bit 0, z2 bit 5, a set bit meaning +1): a
+constraint carries its premise as a bit mask and value, compiled once when
+it is extracted, and each component keeps one list of forced-sign flags
+per index.  A component forced everywhere is interpolated as a sign
+monomial by bit flips and parities; anything less is reported as partial
+or undetermined rather than guessed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .triplets import (
     Triplet,
     Var,
     assignment_index,
+    bit_var,
     parity,
     var_bit,
     var_name,
@@ -39,18 +41,26 @@ class ConflictingConstraints(Exception):
 
 
 class Constraint(NamedTuple):
-    """If every premise sign holds, the conclusion sign must hold after the gate."""
+    """If the premise holds, output variable ``bit`` takes ``sign`` after the gate.
 
-    premise: frozenset[tuple[Var, int]]
-    conclusion: tuple[Var, int]
+    The premise holds at assignment index ``i`` exactly when
+    ``i & mask == value``: ``mask`` holds the global bits of the input
+    variables it fixes, and ``value`` those of them fixed to +1.
+    """
+
+    mask: int
+    value: int
+    bit: int
+    sign: int
 
     def render(self) -> str:
-        def eq(v: Var, s: int) -> str:
-            return f"{var_name(v)}={'+1' if s > 0 else '-1'}"
+        def eq(bit: int, plus: bool, prime: str = "") -> str:
+            return f"{var_name(bit_var(bit))}{prime}={'+1' if plus else '-1'}"
 
-        left = " & ".join(eq(v, s) for v, s in sorted(self.premise))
-        v, s = self.conclusion
-        return f"{left} -> {var_name(v)}'={'+1' if s > 0 else '-1'}"
+        bits = range(self.mask.bit_length())
+        premise = " & ".join(eq(b, self.value >> b & 1) for b in bits if self.mask >> b & 1)
+        conclusion = eq(self.bit, self.sign > 0, "'")
+        return f"{premise} -> {conclusion}"
 
 
 class MappingTable(NamedTuple):
@@ -114,15 +124,17 @@ def extract_constraints(table: MappingTable) -> tuple[Constraint, ...]:
     """One constraint per classified output component of each preserved row.
 
     The premise is always the full set of input components the row fixes,
-    one (variable, sign) pair per qubit.
+    one variable per qubit, compiled here to its mask and value.
     """
     out = []
     for in_labels, out_labels in table.preserved:
-        premise = frozenset(
-            ((qubit, label.axis), label.sign) for qubit, label in enumerate(in_labels, start=1)
-        )
+        mask = value = 0
+        for qubit, label in enumerate(in_labels, start=1):
+            bit = 1 << var_bit((qubit, label.axis))
+            mask |= bit
+            value |= bit if label.sign > 0 else 0
         for qubit, label in enumerate(out_labels, start=1):
-            out.append(Constraint(premise, ((qubit, label.axis), label.sign)))
+            out.append(Constraint(mask, value, var_bit((qubit, label.axis)), label.sign))
     return tuple(out)
 
 
@@ -153,32 +165,15 @@ def _interpolate(count: int, values):
     return TotalComponent(SignMonomial(sign, members))
 
 
-def _premise_mask(premise) -> tuple[int, int] | None:
-    """The premise as a (mask, value) pair over the assignment index.
-
-    The premise holds at ``index`` exactly when ``index & mask == value``.
-    A premise that pins one variable to both signs holds nowhere: None.
-    """
-    mask = value = 0
-    for v, s in premise:
-        bit = 1 << var_bit(v)
-        want = bit if s > 0 else 0
-        if mask & bit and value & bit != want:
-            return None
-        mask |= bit
-        value |= want
-    return mask, value
-
-
 def merge(constraints, arity: int) -> FunctionalRep:
     """Combine constraints into per-component functions of the input signs.
 
     Assignments are numbered by their global index: bit ``j`` of the index
     is the ``j``-th input variable of :func:`component_vars`, set for +1.
-    Each constraint is compiled once to a (mask, value) pair and marks the
-    sign it forces in its component's flags at every index where
-    ``index & mask == value``; an empty premise applies everywhere, a
-    premise on a variable outside the arity raises :class:`ValueError`, and
+    Each constraint marks the sign it forces in its component's flags at
+    every index where ``index & mask == value``; an empty premise applies
+    everywhere.  A premise value with a bit outside its mask, or a premise
+    on a variable outside the arity, raises :class:`ValueError`, and
     constraints on anything other than the arity's components are ignored.
     Scanning components in variable order and indices in ascending order,
     opposite forced signs raise :class:`ConflictingConstraints`; agreement
@@ -188,16 +183,15 @@ def merge(constraints, arity: int) -> FunctionalRep:
     variables = component_vars(arity)
     size = 1 << len(variables)
     flags = [[0] * size for _ in variables]
-    for c in constraints:
-        w, s = c.conclusion
-        compiled = _premise_mask(c.premise) if w in variables else None
-        if compiled is None:
+    for mask, value, bit, sign in constraints:
+        if value & ~mask:
+            raise ValueError(f"a premise value sets bits {value & ~mask:#x} outside its mask")
+        if not 0 <= bit < len(variables):
             continue
-        mask, value = compiled
-        if mask >= size:
+        if not 0 <= mask < size:
             raise ValueError(f"a premise names a variable outside arity {arity}")
-        table = flags[var_bit(w)]
-        flag = _PLUS if s > 0 else _MINUS
+        table = flags[bit]
+        flag = _PLUS if sign > 0 else _MINUS
         for index in range(size):
             if index & mask == value:
                 table[index] |= flag

@@ -66,7 +66,7 @@ def anticorrelation_condition(pair: Pair, axis: str) -> SignMonomial:
     Opposite outcomes mean the two axis-components multiply to -1, so the
     condition is the negated product, canonicalized by monomial algebra.
     """
-    return -(pair[0].component(axis) * pair[1].component(axis))
+    return -(getattr(pair[0], axis) * getattr(pair[1], axis))
 
 
 def condition_str(m: SignMonomial) -> str:

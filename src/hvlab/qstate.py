@@ -203,7 +203,7 @@ def tensor(v: Ket, w: Ket) -> Ket:
     return Ket((ve[0] * we[0], ve[0] * we[1], ve[1] * we[0], ve[1] * we[1]))
 
 
-def kron(a: GateMatrix, b: GateMatrix, name: str | None = None) -> GateMatrix:
+def kron(a: GateMatrix, b: GateMatrix) -> GateMatrix:
     """Kronecker product of two single-qubit gates, qubit 1 major."""
     if a.dim != 2 or b.dim != 2:
         raise ValueError("kron takes two dimension-2 gates")
@@ -211,7 +211,7 @@ def kron(a: GateMatrix, b: GateMatrix, name: str | None = None) -> GateMatrix:
     for i in range(2):
         for k in range(2):
             rows.append(tuple(a.entries[i][j] * b.entries[k][l] for j in range(2) for l in range(2)))
-    return GateMatrix(tuple(rows), name)
+    return GateMatrix(tuple(rows))
 
 
 def run_ket(circuit: tuple, ket: Ket) -> Ket:
@@ -336,14 +336,6 @@ def _pair_observable(key: str) -> GateMatrix:
     """s(x)s for the Pauli matrix s named by key, built on first use."""
     p = GATES[key]
     return kron(p, p)
-
-
-def gate(name: str) -> GateMatrix:
-    """Look up a built-in gate by name."""
-    try:
-        return GATES[name]
-    except KeyError:
-        raise ValueError(f"unknown built-in gate {name!r}") from None
 
 
 def matrix_digest(g: GateMatrix) -> str:

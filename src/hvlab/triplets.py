@@ -7,10 +7,11 @@ symbolic: a :class:`SignMonomial` is a product of +-1 variables with an
 overall sign, closed under negation and multiplication, so the same rule
 functions run unchanged on concrete and symbolic triplets.  A circuit is a
 tuple of ``(gate name, qubit indices)`` steps, run by :func:`run` through
-the rules named in :data:`RULES` (and by :func:`hvlab.qstate.run_ket` on
-kets).  Hidden variable (q, axis) has the global bit ``3(q-1) +
-AXES.index(axis)``: a monomial is a mask over these bits, and an
-assignment of signs is an integer index over them, a set bit meaning +1.
+the rule functions of this module that :data:`RULES` names (and by
+:func:`hvlab.qstate.run_ket` on kets).  Hidden variable (q, axis) has the
+global bit ``3(q-1) + AXES.index(axis)``: a monomial is a mask over these
+bits, and an assignment of signs is an integer index over them, a set bit
+meaning +1.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def var_bit(v: Var) -> int:
     """The variable's global bit: 3(q-1) + AXES.index(axis)."""
     qubit, axis = v
     return 3 * (qubit - 1) + AXES.index(axis)
+
+
+def bit_var(bit: int) -> Var:
+    """The variable of a global bit: the inverse of :func:`var_bit`."""
+    return bit // 3 + 1, AXES[bit % 3]
 
 
 def var_name(v: Var, with_index: bool = True) -> str:
@@ -88,7 +94,7 @@ class SignMonomial(namedtuple("SignMonomial", "sign mask")):
         if not self.mask:
             return "+1" if self.sign > 0 else "-1"
         body = ".".join(
-            var_name((bit // 3 + 1, AXES[bit % 3]), with_index)
+            var_name(bit_var(bit), with_index)
             for bit in range(self.mask.bit_length())
             if self.mask >> bit & 1
         )
@@ -109,9 +115,6 @@ class Triplet(namedtuple("Triplet", "x y z")):
         for axis, value in zip(AXES, self):
             if type(value) is not int or value not in (-1, 1):
                 raise ValueError(f"{axis} component must be -1 or +1, got {value!r}")
-
-    def component(self, axis: str) -> int:
-        return getattr(self, axis)
 
     def __str__(self) -> str:
         def fmt(v: int) -> str:
@@ -135,9 +138,6 @@ class SymTriplet(namedtuple("SymTriplet", "x y z")):
     @classmethod
     def generic(cls, qubit: int) -> SymTriplet:
         return cls(*(SignMonomial.variable((qubit, axis)) for axis in AXES))
-
-    def component(self, axis: str) -> SignMonomial:
-        return getattr(self, axis)
 
     def evaluate(self, index: int) -> Triplet:
         return Triplet(*(m.evaluate(index) for m in self))
@@ -181,21 +181,21 @@ def all_triplets() -> Iterator[Triplet]:
         yield Triplet(x, y, z)
 
 
-# Gate name -> name of its rule in this module.  run looks the rule up on
-# every call, so a wrapper set on the module is the one that runs.
+# Gate name -> name of its rule function in this module.
 RULES = {"H": "h", "S": "p_half_pi", "CNOT": "cnot"}
 
 
-def run(circuit: tuple, state: tuple, rules=None) -> list[tuple]:
+def run(circuit: tuple, state: tuple) -> list[tuple]:
     """The triplets, one per qubit, before and after each step of the circuit.
 
-    ``rules`` maps gate names to rule functions, by default those of
-    :data:`RULES`.  A rule takes one triplet per qubit it acts on and
-    returns a triplet for one qubit and a pair for two.
+    Each step's rule is looked up by name in this module when the step
+    runs, so a rule replaced on the module is the one that runs.  A rule
+    takes one triplet per qubit it acts on and returns a triplet for one
+    qubit and a pair for two.
     """
     states = [tuple(state)]
     for name, qubits in circuit:
-        rule = globals()[RULES[name]] if rules is None else rules[name]
+        rule = globals()[RULES[name]]
         out = rule(*(state[q - 1] for q in qubits))
         state = list(state)
         for q, t in zip(qubits, (out,) if len(qubits) == 1 else out):

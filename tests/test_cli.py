@@ -333,9 +333,33 @@ def test_reused_parser_carries_no_state_between_requests(capsys):
         ("derive", "H"),
     ]
     first = {argv: request(argv) for argv in requests}
-    assert [first[argv][0] for argv in requests] == [0, 0, 0, 1, ("SystemExit", 2), 0]
+    assert [first[argv][0] for argv in requests] == [0, 0, 0, 1, ("SystemExit", 1), 0]
     for argv in reversed(requests + requests):
         assert request(argv) == first[argv], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("derive",), ("derive", "H", "--format", "xml"), ("bogus",), ("contradiction", "--bogus")],
+    ids=" ".join,
+)
+def test_usage_errors_exit_1_with_the_usage_on_stderr(argv):
+    # 2 is derive's finding (no faithful representation), never a usage error.
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvlab", *argv], capture_output=True, text=True, encoding="utf-8"
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage: hvlab")
+    assert lines[-1].startswith("hvlab") and ": error: " in lines[-1]
+
+
+def test_help_exits_0_on_stdout():
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvlab", "--help"], capture_output=True, text=True, encoding="utf-8"
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: hvlab")
 
 
 def test_module_entry_point():

@@ -1,6 +1,5 @@
 """Derivation engine: mapping tables, constraints, merging, robustness."""
 
-import itertools
 import random
 from typing import NamedTuple
 
@@ -30,6 +29,7 @@ from hvlab.triplets import (
     SignMonomial,
     SymTriplet,
     all_triplets,
+    bit_var,
     cnot,
     h,
     p_half_pi,
@@ -116,8 +116,11 @@ def test_constraint_counts_and_rendering():
     assert len(extract_constraints(enumerate_mappings(GATES["H"]))) == 6
     constraints = extract_constraints(enumerate_mappings(GATES["CNOT"]))
     assert len(constraints) == 40
-    c = Constraint(frozenset([((1, "x"), 1), ((2, "x"), -1)]), ((1, "x"), -1))
+    # Premise on x1 (bit 0) and x2 (bit 3), x1 at +1; conclusion on x1.
+    c = Constraint(mask=0b1001, value=0b0001, bit=0, sign=-1)
     assert c.render() == "x1=+1 & x2=-1 -> x1'=-1"
+    assert Constraint(0, 0, 5, 1).render() == " -> z2'=+1"
+    assert extract_constraints(enumerate_mappings(GATES["H"]))[0] == Constraint(1, 1, 2, 1)
 
 
 def test_derive_h():
@@ -196,38 +199,46 @@ def test_merge_is_order_independent():
 
 def test_merge_detects_conflicts():
     clash = (
-        Constraint(frozenset([((1, "x"), 1)]), ((1, "z"), 1)),
-        Constraint(frozenset(), ((1, "z"), -1)),
+        Constraint(mask=0b001, value=0b001, bit=2, sign=1),  # x1=+1 -> z1'=+1
+        Constraint(mask=0, value=0, bit=2, sign=-1),  # always z1'=-1
     )
     with pytest.raises(ConflictingConstraints):
         merge(clash, 1)
 
 
 def test_merge_rejects_a_premise_outside_the_arity():
-    for sign in (1, -1):
-        outside = (Constraint(frozenset([((2, "x"), sign)]), ((1, "x"), 1)),)
-        with pytest.raises(ValueError):
+    # x2 at -1 or +1, and a negative mask, which has every high bit set.
+    for mask, value in ((0b1000, 0), (0b1000, 0b1000), (-1, 0)):
+        outside = (Constraint(mask=mask, value=value, bit=0, sign=1),)
+        with pytest.raises(ValueError, match="outside arity 1"):
             merge(outside, 1)
 
 
+def test_merge_rejects_a_premise_value_outside_its_mask():
+    # Such a premise could hold nowhere; a compiled premise never has one.
+    for arity, bit in ((1, 0), (2, 4), (1, 6)):
+        stray = (Constraint(mask=0b001, value=0b011, bit=bit, sign=1),)
+        with pytest.raises(ValueError, match="outside its mask"):
+            merge(stray, arity)
+
+
 def test_merge_reports_partial_components():
-    rep = merge((Constraint(frozenset([((1, "x"), 1)]), ((1, "y"), 1)),), 1)
+    x1_forces_y1 = Constraint(mask=0b001, value=0b001, bit=1, sign=1)  # x1=+1 -> y1'=+1
+    no_component = Constraint(mask=0, value=0, bit=-1, sign=1)  # ignored, not read as z1
+    rep = merge((x1_forces_y1, no_component), 1)
     y = rep.component((1, "y"))
     assert isinstance(y, PartialComponent)
     assert len(y.forced) == 4
     assert all(sign == 1 for _, sign in y.forced)
     assert isinstance(rep.component((1, "x")), UndeterminedComponent)
+    assert isinstance(rep.component((1, "z")), UndeterminedComponent)
 
 
 def test_merge_flags_non_monomial_truth_tables():
     # force x1' = (x1 AND y1) in sign form: +1 only when both are +1
     constraints = tuple(
-        Constraint(
-            frozenset([((1, "x"), sx), ((1, "y"), sy)]),
-            ((1, "x"), 1 if sx == 1 and sy == 1 else -1),
-        )
-        for sx in (-1, 1)
-        for sy in (-1, 1)
+        Constraint(mask=0b011, value=value, bit=0, sign=1 if value == 0b011 else -1)
+        for value in range(4)
     )
     rep = merge(constraints, 1)
     x = rep.component((1, "x"))
@@ -236,9 +247,11 @@ def test_merge_flags_non_monomial_truth_tables():
 
 
 # The dictionary-per-assignment merge that the index-mask merge replaced,
-# kept verbatim as the reference it must agree with.  It runs on its own
-# dictionary assignments and set-of-variables monomials (below), and
-# `reference` turns its monomials into mask monomials for the comparison.
+# kept as the reference it must agree with.  It runs on its own dictionary
+# assignments and set-of-variables monomials (below), decodes each
+# constraint's mask and value into (variable, sign) pairs rather than test
+# `index & mask == value`, and `reference` turns its monomials into mask
+# monomials for the comparison.
 
 
 def enumerate_assignments(variables):
@@ -283,6 +296,15 @@ def reference_interpolate(variables, assignments, forced):
     return TotalComponent(monomial)
 
 
+def decode_premise(c: Constraint) -> dict:
+    """The premise as a dictionary: each variable of the mask, +1 where value has its bit."""
+    return {
+        bit_var(bit): 1 if c.value >> bit & 1 else -1
+        for bit in range(c.mask.bit_length())
+        if c.mask >> bit & 1
+    }
+
+
 def reference_merge(constraints, arity: int) -> FunctionalRep:
     """Combine constraints into per-component functions of the input signs.
 
@@ -296,13 +318,13 @@ def reference_merge(constraints, arity: int) -> FunctionalRep:
     assignments = tuple(enumerate_assignments(variables))
     components = []
     for w in variables:
-        relevant = [c for c in constraints if c.conclusion[0] == w]
+        relevant = [(decode_premise(c), c.sign) for c in constraints if bit_var(c.bit) == w]
         forced: dict[int, int] = {}
         for index, assignment in assignments:
             values = {
-                c.conclusion[1]
-                for c in relevant
-                if all(assignment[v] == s for v, s in c.premise)
+                sign
+                for premise, sign in relevant
+                if all(assignment[v] == s for v, s in premise.items())
             }
             if len(values) > 1:
                 raise ConflictingConstraints(
@@ -334,32 +356,38 @@ def reference(constraints, arity: int) -> FunctionalRep:
 def random_constraints(pick, arity):
     """A random constraint set; ``pick(lo, hi)`` draws an integer in [lo, hi].
 
-    Up to two truth tables come first: one constraint for each sign pattern
-    of 1 or 2 input variables, all concluding on one output variable, so
-    that components are often forced everywhere, as monomials or not.  Then
-    come up to six loose constraints with premises of 0 to 3 pairs, which
-    may pin one variable to both signs and often clash with the tables.
-    Conclusions range over both qubits and a third one, so some name no
-    component of the arity and must be ignored.
+    Premises are masks over the arity's input bits, with values drawn
+    inside them.  Up to two truth tables come first: one constraint for
+    each value of a mask of 1 or 2 input bits, all concluding on one output
+    bit, so that components are often forced everywhere, as monomials or
+    not.  Then come up to six loose constraints with premises on 0 to 3
+    drawn bits, which often clash with the tables.  Conclusions range over
+    the bits of two qubits and of a third one, so some name no component of
+    the arity and must be ignored.
     """
-    inputs = component_vars(arity)
-    outputs = component_vars(2) + ((3, "x"),)
+    size = 1 << 3 * arity
 
     def sign():
         return pick(0, 1) * 2 - 1
 
-    def variable(choices):
-        return choices[pick(0, len(choices) - 1)]
+    def output():
+        return pick(0, 8)
+
+    def mask(draws):
+        bits = 0
+        for _ in range(draws):
+            bits |= 1 << pick(0, 3 * arity - 1)
+        return bits
 
     constraints = []
     for _ in range(pick(0, 2)):
-        target = variable(outputs)
-        support = sorted({variable(inputs) for _ in range(pick(1, 2))})
-        for signs in itertools.product((-1, 1), repeat=len(support)):
-            constraints.append(Constraint(frozenset(zip(support, signs)), (target, sign())))
+        target, support = output(), mask(pick(1, 2))
+        for value in range(size):
+            if value & ~support == 0:
+                constraints.append(Constraint(support, value, target, sign()))
     for _ in range(pick(0, 6)):
-        premise = frozenset((variable(inputs), sign()) for _ in range(pick(0, 3)))
-        constraints.append(Constraint(premise, (variable(outputs), sign())))
+        premise = mask(pick(0, 3))
+        constraints.append(Constraint(premise, premise & pick(0, size - 1), output(), sign()))
     return tuple(constraints)
 
 

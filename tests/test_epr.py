@@ -226,21 +226,30 @@ def test_both_branch_circuits_make_the_singlet():
 def test_derived_rules_reach_the_same_contradiction(monkeypatch):
     # A second route to the headline result: concrete triplets through the
     # rules derived from the gate matrices, with no hand-written rule.
+    # Each rule in hvlab.triplets is replaced by its derived rule, which
+    # counts its calls: one per step of every run, or a hand-written rule ran.
     expected = [sum(1 << i for i in b.satisfying) for b in run_contradiction().branches]
-    derived = {name: derive(GATES[name]).evaluate for name in RULES}
+    calls = dict.fromkeys(RULES, 0)
 
-    def forbidden(*args):
-        raise AssertionError("a hand-written rule ran")
+    def derived(name):
+        rule = derive(GATES[name]).evaluate
 
-    for name in RULES.values():
-        monkeypatch.setattr(triplets, name, forbidden)
+        def counted(*ins):
+            calls[name] += 1
+            return rule(*ins)
+
+        return counted
+
+    for name, fn in RULES.items():
+        monkeypatch.setattr(triplets, fn, derived(name))
     masks = []
     for circuit in (NO_SHIFT, PHASE_SHIFT):
         mask = 0
         for i in range(16):
             x1, y1, x2, y2 = free_signs(i)
-            a, b = run(circuit, (Triplet(x1, y1, -1), Triplet(x2, y2, -1)), derived)[-1]
-            if all(a.component(axis) == -b.component(axis) for axis in "xyz"):
+            a, b = run(circuit, (Triplet(x1, y1, -1), Triplet(x2, y2, -1)))[-1]
+            if all(getattr(a, axis) == -getattr(b, axis) for axis in "xyz"):
                 mask |= 1 << i
         masks.append(mask)
     assert masks == [0x9669, 0x6996] == expected
+    assert calls == {"H": 32, "S": 16, "CNOT": 32}

@@ -19,7 +19,6 @@ from hvlab.qstate import (
     bell_psi_minus,
     classify,
     eigenvector,
-    gate,
     gate_from_json,
     gate_to_json,
     inner,
@@ -262,10 +261,8 @@ def test_separable():
     assert not separable(Ket.of(ONE, IM, -ONE, IM))
 
 
-def test_gate_lookup():
-    assert gate("H").name == "H"
-    with pytest.raises(ValueError):
-        gate("Q")
+def test_builtin_gates_carry_their_names():
+    assert all(g.name == name for name, g in GATES.items())
 
 
 def test_builtin_gram_scales():

@@ -12,6 +12,7 @@ from hvlab.triplets import (
     Triplet,
     all_triplets,
     assignment_index,
+    bit_var,
     cnot,
     h,
     p_half_pi,
@@ -102,7 +103,6 @@ def test_evaluation_is_multiplicative(a, b, assignment):
 def test_triplet_validation_and_rendering():
     t = Triplet(1, -1, 1)
     assert (t.x, t.y, t.z) == (1, -1, 1)
-    assert t.component("y") == -1
     assert str(t) == "⟨+1, -1, +1⟩"
     with pytest.raises(ValueError):
         Triplet(1, 0, 1)
@@ -181,6 +181,7 @@ def test_symbolic_rules_match_concrete_rules():
 def test_global_bit_encoding():
     # Variable (q, axis) is bit 3(q-1) + axis position; a set bit means +1.
     assert [var_bit(v) for v in ALL_VARS] == [0, 1, 2, 3, 4, 5]
+    assert [bit_var(b) for b in range(9)] == ALL_VARS + [(3, "x"), (3, "y"), (3, "z")]
     assert SignMonomial.variable((2, "y")) == SignMonomial(1, 1 << 4)
     assert assignment_index((Triplet(1, -1, 1), Triplet(-1, -1, 1))) == 0b100101
     assert assignment_index((Triplet(-1, -1, -1),)) == 0
