@@ -23,6 +23,7 @@ from .qstate import (
     GATES,
     BasisLabel,
     apply,
+    basis_products,
     bell_psi_minus,
     classify,
     eigenvector,
@@ -147,12 +148,8 @@ def oracle_checks() -> list[CheckResult]:
         )
     )
 
-    single = all(classify(eigenvector(l)) == l for l in BasisLabel)
-    pairs = all(
-        classify(tensor(eigenvector(l1), eigenvector(l2))) == (l1, l2)
-        for l1 in BasisLabel
-        for l2 in BasisLabel
-    )
+    single = all(classify(v) == labels[0] for labels, v in basis_products(1))
+    pairs = all(classify(v) == labels for labels, v in basis_products(2))
     results.append(
         CheckResult("classification round-trip", single and pairs, "6 + 36 cases")
     )

@@ -5,7 +5,10 @@ every comparison is made up to an arbitrary nonzero scalar, so
 normalization factors never appear.  The module owns the six spin
 eigenstates, the built-in gate matrices, tensor products, separability,
 classification of vectors back into the eigenbasis, and the exact
-anti-correlation predicate used by the entanglement experiment.
+anti-correlation predicate used by the entanglement experiment.  The sizes
+it supports are checked by the value types alone: :class:`Ket` and
+:class:`GateMatrix` refuse any dimension but 2 and 4, and the products,
+tables and circuits built from them inherit that limit.
 """
 
 from __future__ import annotations
@@ -196,22 +199,21 @@ def proportional(v: Ket, w: Ket) -> bool:
 
 
 def tensor(v: Ket, w: Ket) -> Ket:
-    """Kronecker product; qubit 1 is the tensor-major factor."""
-    ve, we = v.entries, w.entries
-    if len(ve) != 2 or len(we) != 2:
-        raise ValueError("tensor takes two dimension-2 kets")
-    return Ket((ve[0] * we[0], ve[0] * we[1], ve[1] * we[0], ve[1] * we[1]))
+    """Kronecker product, qubit 1 major; :class:`Ket` validation checks its size."""
+    return Ket(tuple([a * b for a in v.entries for b in w.entries]))
 
 
 def kron(a: GateMatrix, b: GateMatrix) -> GateMatrix:
-    """Kronecker product of two single-qubit gates, qubit 1 major."""
-    if a.dim != 2 or b.dim != 2:
-        raise ValueError("kron takes two dimension-2 gates")
-    rows = []
-    for i in range(2):
-        for k in range(2):
-            rows.append(tuple(a.entries[i][j] * b.entries[k][l] for j in range(2) for l in range(2)))
-    return GateMatrix(tuple(rows))
+    """Kronecker product, qubit 1 major; :class:`GateMatrix` validation checks its size."""
+    return GateMatrix(
+        tuple(tuple([x * y for x in ra for y in rb]) for ra in a.entries for rb in b.entries)
+    )
+
+
+@functools.cache
+def _builtin_kron(left: str, right: str) -> GateMatrix:
+    """GATES[left]⊗GATES[right], built on first use and shared afterwards."""
+    return kron(GATES[left], GATES[right])
 
 
 def run_ket(circuit: tuple, ket: Ket) -> Ket:
@@ -219,19 +221,15 @@ def run_ket(circuit: tuple, ket: Ket) -> Ket:
 
     A one-qubit gate is embedded as ``g⊗I``, so it must act on qubit 1, and
     a two-qubit gate on qubits (1, 2): the placements the experiment uses.
+    The ket's size is checked by :func:`apply` against the gate's, so a
+    ket of another dimension raises :class:`ValueError`.
     """
     for name, qubits in circuit:
         g = GATES[name]
         if qubits != ((1,) if g.dim == 2 else (1, 2)):
             raise ValueError(f"{name} on qubits {qubits} cannot run on a two-qubit ket")
-        ket = apply(_embedded(name) if g.dim == 2 else g, ket)
+        ket = apply(_builtin_kron(name, "I") if g.dim == 2 else g, ket)
     return ket
-
-
-@functools.cache
-def _embedded(name: str) -> GateMatrix:
-    """g⊗I for the built-in one-qubit gate g named by name, built on first use."""
-    return kron(GATES[name], GATES["I"])
 
 
 def separable(v: Ket) -> bool:
@@ -252,16 +250,15 @@ def basis_products(arity: int) -> tuple[tuple[tuple[BasisLabel, ...], Ket], ...]
 
     One qubit gives the 6 eigenstates, two qubits the 36 ordered pairs with
     qubit 1 major.  The table is built on first use and shared afterwards.
+    An arity below 1 raises :class:`ValueError`, and so does one whose kets
+    :class:`Ket` does not support (above 2).
     """
-    if arity == 1:
-        return tuple(((l,), eigenvector(l)) for l in BasisLabel)
-    if arity == 2:
-        return tuple(
-            ((l1, l2), tensor(eigenvector(l1), eigenvector(l2)))
-            for l1 in BasisLabel
-            for l2 in BasisLabel
-        )
-    raise ValueError(f"arity must be 1 or 2, got {arity}")
+    if arity < 1:
+        raise ValueError(f"arity must be positive, got {arity}")
+    return tuple(
+        (labels, functools.reduce(tensor, map(eigenvector, labels)))
+        for labels in itertools.product(BasisLabel, repeat=arity)
+    )
 
 
 def classify(v: Ket) -> BasisLabel | tuple[BasisLabel, BasisLabel] | None:
@@ -321,29 +318,19 @@ def predicts_opposite(v: Ket, axis: str) -> bool:
 
     Encoded as the exact ring equation <v|s(x)s|v> = -<v|v> (expectation -1
     without any division), where s is the Pauli matrix of the given axis.
+    A v that is not a two-qubit state fails :func:`apply`'s size check with
+    :class:`ValueError`.
     """
-    if v.dim != 4:
-        raise ValueError("the anti-correlation predicate needs a two-qubit state")
     key = axis.upper()
     if key not in ("X", "Y", "Z"):
         raise ValueError(f"not a measurement axis: {axis!r}")
-    m = _pair_observable(key)
-    return inner(v, apply(m, v)) == -inner(v, v)
-
-
-@functools.cache
-def _pair_observable(key: str) -> GateMatrix:
-    """s(x)s for the Pauli matrix s named by key, built on first use."""
-    p = GATES[key]
-    return kron(p, p)
+    return inner(v, apply(_builtin_kron(key, key), v)) == -inner(v, v)
 
 
 def matrix_digest(g: GateMatrix) -> str:
     """Content hash of the matrix (dimension and entries, not the label)."""
-    payload = {
-        "dim": g.dim,
-        "entries": [[[e.a, e.b, e.c, e.d] for e in row] for row in g.entries],
-    }
+    payload = gate_to_json(g)
+    del payload["name"]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
     # Imported here: only derive hashes a matrix, and OpenSSL's _hashlib
     # would otherwise load on every start.
@@ -364,7 +351,8 @@ def gate_from_json(obj) -> GateMatrix:
     """Build a gate from the document format {"name", "dim", "entries"}.
 
     Entries are rows of coefficient 4-tuples [a, b, c, d]; the matrix must
-    be unitary up to a positive real scale or the construction fails.
+    be of a size :class:`GateMatrix` supports and unitary up to a positive
+    real scale, or the construction fails.
     """
     if not isinstance(obj, dict):
         raise ValueError("gate document must be a JSON object")
@@ -379,8 +367,8 @@ def gate_from_json(obj) -> GateMatrix:
     except UnicodeEncodeError:  # a lone surrogate, valid in JSON text
         raise ValueError("gate name must be encodable as UTF-8") from None
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim not in (2, 4):
-        raise ValueError("gate dimension must be 2 or 4")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError("gate dimension must be an integer")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim:
         raise ValueError(f"expected {dim} rows of entries")

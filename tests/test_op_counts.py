@@ -10,7 +10,7 @@ signal of those kernels.
 
 import pytest
 
-from hvlab import qstate, triplets
+from hvlab import checks, qstate, triplets
 from hvlab.checks import oracle_checks, representation_checks
 from hvlab.cyclotomic import OMEGA, ONE, CycInt, dot
 from hvlab.derive import derive
@@ -111,6 +111,13 @@ def test_builds_per_contradiction_report(monkeypatch, builds):
     assert warm_count(kets, contradiction_report) <= 3
 
 
+def test_contradiction_report_builds_no_gate(monkeypatch):
+    # run_ket's H(x)I and predicts_opposite's s(x)s come from one cache of
+    # products of built-in gates, each built once per process.
+    gates = count_calls(monkeypatch, "__post_init__", GateMatrix)
+    assert warm_count(gates, contradiction_report) == 0
+
+
 def test_multiplies_per_representation_check_suite(multiplies):
     # The H, S and CNOT mapping tables, each built once; the CNOT table is
     # most of it, as in a two-qubit derivation (4 250 before the rank-1 test,
@@ -120,8 +127,17 @@ def test_multiplies_per_representation_check_suite(multiplies):
 
 def test_multiplies_per_oracle_check_suite(multiplies):
     # The suite classifies one entangled image: 3 230 when it was scanned,
-    # 3 206 before the fused apply.
-    assert warm_count(multiplies, oracle_checks) <= 2_860
+    # 3 206 before the fused apply, 2 838 when the classification round trip
+    # rebuilt its 36 product kets instead of reading basis_products.
+    assert warm_count(multiplies, oracle_checks) <= 2_694
+
+
+def test_oracle_check_suite_takes_two_tensor_products(monkeypatch):
+    # The start and escape kets; the round trip reads the cached basis
+    # products (38 tensor products per call when it rebuilt them).
+    calls = count_calls(monkeypatch, "tensor", qstate)
+    monkeypatch.setattr(checks, "tensor", qstate.tensor)
+    assert warm_count(calls, oracle_checks) <= 2
 
 
 def test_oracle_check_suite_builds_no_gate(monkeypatch):

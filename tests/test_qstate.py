@@ -16,6 +16,7 @@ from hvlab.qstate import (
     Ket,
     _gram_scale,
     apply,
+    basis_products,
     bell_psi_minus,
     classify,
     eigenvector,
@@ -91,6 +92,36 @@ def test_tensor_is_first_qubit_major():
     v = tensor(eigenvector(BasisLabel.Z_MINUS), eigenvector(BasisLabel.X_PLUS))
     assert v == Ket.of(0, 0, 1, 1)
     assert tensor(Ket.of(1, 2), Ket.of(3, 5)) == Ket.of(3, 5, 6, 10)
+    for l1, l2 in itertools.product(LABELS, repeat=2):
+        x, y = eigenvector(l1).entries, eigenvector(l2).entries
+        expected = [x[i] * y[k] for i in range(2) for k in range(2)]
+        assert list(tensor(eigenvector(l1), eigenvector(l2)).entries) == expected
+
+
+def test_kron_of_every_one_qubit_pair_matches_the_index_formula():
+    one_qubit = [g for g in GATES.values() if g.dim == 2]
+    assert len(one_qubit) == 7
+    for a, b in itertools.product(one_qubit, repeat=2):
+        product = kron(a, b).entries
+        for i, j, k, l in itertools.product(range(2), repeat=4):
+            assert product[2 * i + k][2 * j + l] == a.entries[i][j] * b.entries[k][l]
+
+
+def test_products_of_unsupported_sizes_are_refused_by_the_value_types():
+    with pytest.raises(ValueError):
+        tensor(bell_psi_minus(), eigenvector(BasisLabel.Z_PLUS))
+    with pytest.raises(ValueError):
+        kron(GATES["CNOT"], GATES["H"])
+
+
+def test_basis_products_order_and_arity():
+    assert [labels for labels, _ in basis_products(1)] == [(l,) for l in LABELS]
+    assert [labels for labels, _ in basis_products(2)] == list(itertools.product(LABELS, repeat=2))
+    for labels, ket in basis_products(2):
+        assert ket == tensor(eigenvector(labels[0]), eigenvector(labels[1]))
+    for arity in (0, 3):
+        with pytest.raises(ValueError):
+            basis_products(arity)
 
 
 def test_classify_single():
