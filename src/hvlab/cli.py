@@ -128,6 +128,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    if sys.stdout is None:
+        # File descriptor 1 is closed: no report can be written.
+        sys.exit(1)
     # Reports hold characters such as ⟨ and ↦: write UTF-8 whatever the
     # locale, rather than fail on an encoding that cannot hold them.
     sys.stdout.reconfigure(encoding="utf-8")

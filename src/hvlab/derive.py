@@ -11,14 +11,17 @@ and every sign assignment, which value the constraints force.  It works
 on assignment indices over the global variable bits of
 :mod:`hvlab.triplets` (x1 is bit 0, z2 bit 5, a set bit meaning +1): a
 constraint carries its premise as a bit mask and value, compiled once when
-it is extracted, and each component keeps one list of forced-sign flags
-per index.  A component forced everywhere is interpolated as a sign
-monomial by bit flips and parities; anything less is reported as partial
-or undetermined rather than guessed.
+it is extracted.  A set of indices is one int, bit ``i`` standing for index
+``i``: the indices where a premise holds are built once per process, and
+each component keeps the set forced to +1 and the set forced to -1.  A
+component forced everywhere is interpolated as a sign monomial by swapping
+halves of its sets; anything less is reported as partial or undetermined
+rather than guessed.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .qstate import BasisLabel, GateMatrix, apply, basis_products, classify, matrix_digest
@@ -30,7 +33,6 @@ from .triplets import (
     Var,
     assignment_index,
     bit_var,
-    parity,
     var_bit,
     var_name,
 )
@@ -54,13 +56,18 @@ class Constraint(NamedTuple):
     sign: int
 
     def render(self) -> str:
-        def eq(bit: int, plus: bool, prime: str = "") -> str:
-            return f"{var_name(bit_var(bit))}{prime}={'+1' if plus else '-1'}"
+        conclusion = _equation(self.bit, self.sign > 0, "'")
+        return f"{_premise_text(self.mask, self.value)} -> {conclusion}"
 
-        bits = range(self.mask.bit_length())
-        premise = " & ".join(eq(b, self.value >> b & 1) for b in bits if self.mask >> b & 1)
-        conclusion = eq(self.bit, self.sign > 0, "'")
-        return f"{premise} -> {conclusion}"
+
+def _equation(bit: int, plus: bool, prime: str = "") -> str:
+    return f"{var_name(bit_var(bit))}{prime}={'+1' if plus else '-1'}"
+
+
+@functools.lru_cache(maxsize=1024)  # extracted premises take 6^arity forms
+def _premise_text(mask: int, value: int) -> str:
+    bits = range(mask.bit_length())
+    return " & ".join(_equation(b, value >> b & 1) for b in bits if mask >> b & 1)
 
 
 class MappingTable(NamedTuple):
@@ -138,30 +145,42 @@ def extract_constraints(table: MappingTable) -> tuple[Constraint, ...]:
     return tuple(out)
 
 
-# Flags of one assignment index: which signs some constraint forces there.
-_PLUS, _MINUS, _BOTH = 1, 2, 3
-_SIGN = (0, 1, -1)  # the forced sign of a flag value without _BOTH
+@functools.cache
+def _premise_set(count: int, mask: int, value: int) -> int:
+    """The indices over `count` variable bits where ``index & mask == value``, as a set.
+
+    Bit ``i`` of the result stands for index ``i``.  :func:`merge` calls it
+    only with ``value`` inside ``mask`` and ``mask`` below ``1 << count``,
+    so there are at most 3^count keys per count.
+    """
+    return sum(1 << index for index in range(1 << count) if index & mask == value)
 
 
-def _interpolate(count: int, values):
+def _interpolate(count: int, plus: int):
     """Fit a sign monomial to a fully forced truth table, or report failure.
 
-    ``values[index]`` is the sign forced at assignment ``index`` over
-    ``count`` variable bits, which are the monomial's bits too.  A variable
-    belongs to the monomial exactly when flipping its bit flips the value
-    at every index; the sign is the value at the all-ones (all +1) index.
-    The monomial's value at ``index`` is that sign times -1 for each member
-    bit clear in ``index``, and the fit is verified against the whole table.
+    ``plus`` is the set of assignment indices over ``count`` variable bits
+    forced to +1; every other index is forced to -1.  A variable belongs to
+    the monomial exactly when flipping its bit flips the value at every
+    index: when swapping the halves of ``plus`` across bit ``j`` (index
+    ``i`` to ``i ^ 1 << j``) gives the -1 set.  The sign is the value at
+    the all-ones (all +1) index.  The monomial is -sign where an odd number
+    of member bits are clear, the XOR of the members' bit-clear sets, and
+    the fit is verified against the whole table.
     """
-    members = 0
+    size = 1 << count
+    everywhere = (1 << size) - 1
+    minus = everywhere ^ plus
+    members = odd = 0
     for j in range(count):
-        bit = 1 << j
-        if all(values[index] != values[index ^ bit] for index in range(len(values))):
-            members |= bit
-    sign = values[-1]
-    for index, value in enumerate(values):
-        if sign * parity(members & ~index) != value:
-            return NonMonomialComponent(tuple(values))
+        shift = 1 << j
+        clear = _premise_set(count, shift, 0)  # the indices with bit j clear
+        if (plus & clear) << shift | (plus & ~clear) >> shift == minus:
+            members |= shift
+            odd ^= clear
+    sign = 1 if plus >> size - 1 else -1
+    if plus != (odd if sign < 0 else everywhere ^ odd):
+        return NonMonomialComponent(tuple(1 if plus >> i & 1 else -1 for i in range(size)))
     return TotalComponent(SignMonomial(sign, members))
 
 
@@ -170,42 +189,46 @@ def merge(constraints, arity: int) -> FunctionalRep:
 
     Assignments are numbered by their global index: bit ``j`` of the index
     is the ``j``-th input variable of :func:`component_vars`, set for +1.
-    Each constraint marks the sign it forces in its component's flags at
-    every index where ``index & mask == value``; an empty premise applies
+    Each constraint adds every index where ``index & mask == value`` to
+    its component's set for the sign it forces; an empty premise applies
     everywhere.  A premise value with a bit outside its mask, or a premise
     on a variable outside the arity, raises :class:`ValueError`, and
     constraints on anything other than the arity's components are ignored.
-    Scanning components in variable order and indices in ascending order,
-    opposite forced signs raise :class:`ConflictingConstraints`; agreement
-    on all, some, or no assignments yields a total, partial, or
+    Scanning components in variable order, an index in both sets raises
+    :class:`ConflictingConstraints`, naming the lowest such index;
+    agreement on all, some, or no assignments yields a total, partial, or
     undetermined component respectively.
     """
     variables = component_vars(arity)
-    size = 1 << len(variables)
-    flags = [[0] * size for _ in variables]
+    count = len(variables)
+    size = 1 << count
+    plus = [0] * count
+    minus = [0] * count
     for mask, value, bit, sign in constraints:
         if value & ~mask:
             raise ValueError(f"a premise value sets bits {value & ~mask:#x} outside its mask")
-        if not 0 <= bit < len(variables):
+        if not 0 <= bit < count:
             continue
         if not 0 <= mask < size:
             raise ValueError(f"a premise names a variable outside arity {arity}")
-        table = flags[bit]
-        flag = _PLUS if sign > 0 else _MINUS
-        for index in range(size):
-            if index & mask == value:
-                table[index] |= flag
+        sets = plus if sign > 0 else minus
+        sets[bit] |= _premise_set(count, mask, value)
+    everywhere = (1 << size) - 1
     components = []
-    for w, table in zip(variables, flags):
-        if _BOTH in table:
+    for w, p, m in zip(variables, plus, minus):
+        if both := p & m:
             raise ConflictingConstraints(
-                f"{var_name(w)}' is forced to both signs at assignment {table.index(_BOTH)}"
+                f"{var_name(w)}' is forced to both signs at assignment "
+                f"{(both & -both).bit_length() - 1}"
             )
-        if 0 not in table:
-            components.append(_interpolate(len(variables), [_SIGN[f] for f in table]))
-        elif any(table):
+        forced = p | m
+        if forced == everywhere:
+            components.append(_interpolate(count, p))
+        elif forced:
             components.append(
-                PartialComponent(tuple((i, _SIGN[f]) for i, f in enumerate(table) if f))
+                PartialComponent(
+                    tuple((i, 1 if p >> i & 1 else -1) for i in range(size) if forced >> i & 1)
+                )
             )
         else:
             components.append(UndeterminedComponent())
@@ -261,7 +284,7 @@ def representation_str(gate_label: str, rep: FunctionalRep) -> str:
 
 
 def _labels_str(labels: tuple[BasisLabel, ...]) -> str:
-    return ",".join(str(l) for l in labels)
+    return ",".join(l.text for l in labels)
 
 
 def derivation_report(g: GateMatrix) -> dict:

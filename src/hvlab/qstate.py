@@ -25,7 +25,11 @@ from .cyclotomic import IM, OMEGA, ONE, ZERO, CycInt, dot
 
 
 class BasisLabel(Enum):
-    """The six spin eigenstates, in fixed enumeration order."""
+    """The six spin eigenstates, in fixed enumeration order.
+
+    Each member's ``axis``, ``sign`` and ``text`` (e.g. "X+") are plain
+    attributes, set once when the class is built.
+    """
 
     X_PLUS = ("x", 1)
     X_MINUS = ("x", -1)
@@ -34,16 +38,13 @@ class BasisLabel(Enum):
     Z_PLUS = ("z", 1)
     Z_MINUS = ("z", -1)
 
-    @property
-    def axis(self) -> str:
-        return self.value[0]
-
-    @property
-    def sign(self) -> int:
-        return self.value[1]
+    def __init__(self, axis: str, sign: int) -> None:
+        self.axis = axis
+        self.sign = sign
+        self.text = f"{axis.upper()}{'+' if sign > 0 else '-'}"
 
     def __str__(self) -> str:
-        return f"{self.axis.upper()}{'+' if self.sign > 0 else '-'}"
+        return self.text
 
     @classmethod
     def parse(cls, text: str) -> BasisLabel:

@@ -396,6 +396,26 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
     assert proc.stderr == ""  # no traceback, no "Exception ignored" line
 
 
+@pytest.mark.parametrize("argv", [("contradiction",), ("--help",)], ids=" ".join)
+def test_closed_stdout_descriptor_exits_1_without_a_traceback(argv):
+    # As `hvlab contradiction >&-` in a shell: fd 1 is not open at all, so
+    # the interpreter starts with sys.stdout set to None.
+    closes_fd_1 = (
+        "import os, sys\n"
+        "os.close(1)\n"
+        "os.execv(sys.executable, [sys.executable, '-m', 'hvlab', *sys.argv[1:]])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", closes_fd_1, *argv],
+        stdin=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        encoding="utf-8",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("golden", ["derive-H.text", "contradiction.json"])
 def test_output_is_utf8_whatever_the_stdout_encoding(golden):
     golden_dir = Path(__file__).parent / "golden"

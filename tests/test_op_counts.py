@@ -96,6 +96,24 @@ def test_merge_evaluates_no_sign_monomial(monkeypatch):
     assert warm_count(evaluations, lambda: derive(GATES["CNOT"])) == 0
 
 
+@pytest.mark.parametrize("name", ("CNOT", "H", "T"))
+def test_derivation_takes_no_parity(monkeypatch, name):
+    # merge fits a monomial on sets of indices, by half swaps and XORs, so it
+    # computes no parity (CNOT 384, H 24, T 8 when it checked the fit one
+    # index at a time).  Counted in the globals derive runs with, and in
+    # hvlab.triplets for the monomials' own evaluate.
+    calls = [0]
+    original = triplets.parity
+
+    def counted(bits):
+        calls[0] += 1
+        return original(bits)
+
+    monkeypatch.setitem(derive.__globals__, "parity", counted)
+    monkeypatch.setattr(triplets, "parity", counted)
+    assert warm_count(calls, lambda: derive(GATES[name])) == 0
+
+
 def test_multiplies_per_contradiction_report(multiplies):
     # predicts_opposite takes one apply and two inner products per axis, all
     # fused (72 multiplies through the operators).

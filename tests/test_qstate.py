@@ -229,11 +229,18 @@ def test_classify_pairs_agrees_with_brute_force_reference():
     scaled = [[v.scaled(s) for v in PRODUCTS] for s in (OMEGA, ONE + OMEGA)]
     for v in itertools.chain(*images, *scaled):
         assert classify(v) == reference_classify(v), v
+    # Rank-1 vectors with a factor off the eigenbasis, also scaled past 64 bits.
     off_basis = [Ket.of(1, 2), Ket.of(ONE, OMEGA), Ket.of(ONE, ONE + OMEGA)]
+    wide = [WIDE[k] for k in (90, 105, 120)]
+    assert min(max(abs(c).bit_length() for c in w) for w in wide) > 64
+    rank_one = [tensor(f, g) for f in off_basis for g in off_basis]
     for factor in off_basis:
         for label in LABELS:
-            for v in (tensor(factor, eigenvector(label)), tensor(eigenvector(label), factor)):
-                assert classify(v) is None and reference_classify(v) is None, v
+            rank_one += [tensor(factor, eigenvector(label)), tensor(eigenvector(label), factor)]
+    for product in rank_one:
+        assert separable(product)
+        for v in (product, *(product.scaled(w) for w in wide)):
+            assert classify(v) is None and reference_classify(v) is None, v
 
 
 # Bell-type vectors a|00> + s|11> and a|01> + s|10>, and CNOT of every product:
