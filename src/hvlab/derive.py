@@ -283,6 +283,7 @@ def representation_str(gate_label: str, rep: FunctionalRep) -> str:
     return f"{gate_label}: (⟨x1,y1,z1⟩, ⟨x2,y2,z2⟩) ↦ ({t1}, {t2})"
 
 
+@functools.cache  # called on label tuples of the mapping tables: at most 6^arity keys
 def _labels_str(labels: tuple[BasisLabel, ...]) -> str:
     return ",".join(l.text for l in labels)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from collections import namedtuple
 from enum import Enum
 from pathlib import Path
@@ -314,13 +315,16 @@ def bell_psi_minus() -> Ket:
     return _BELL_PSI_MINUS
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def predicts_opposite(v: Ket, axis: str) -> bool:
     """True iff equal-axis spin measurements on both qubits are predicted opposite.
 
     Encoded as the exact ring equation <v|s(x)s|v> = -<v|v> (expectation -1
     without any division), where s is the Pauli matrix of the given axis.
     A v that is not a two-qubit state fails :func:`apply`'s size check with
-    :class:`ValueError`.
+    :class:`ValueError`.  The answer is computed once per ``(v, axis)`` in a
+    small bounded cache; arguments of another type, such as a plain tuple
+    equal to a :class:`Ket`, are keyed apart and never hit a ket's entry.
     """
     key = axis.upper()
     if key not in ("X", "Y", "Z"):
@@ -328,8 +332,14 @@ def predicts_opposite(v: Ket, axis: str) -> bool:
     return inner(v, apply(_builtin_kron(key, key), v)) == -inner(v, v)
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def matrix_digest(g: GateMatrix) -> str:
-    """Content hash of the matrix (dimension and entries, not the label)."""
+    """Content hash of the matrix (dimension and entries, not the label).
+
+    Computed once per matrix in a small bounded cache, so a stream of new
+    gates cannot grow it; equal matrices share an entry whatever their
+    names, as the hash ignores the name.
+    """
     payload = gate_to_json(g)
     del payload["name"]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
@@ -348,12 +358,18 @@ def gate_to_json(g: GateMatrix) -> dict:
     }
 
 
+# The characters of Unicode categories Cc (C0 and C1 controls, DEL), Zl and Zp.
+_UNPRINTABLE = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
 def gate_from_json(obj) -> GateMatrix:
     """Build a gate from the document format {"name", "dim", "entries"}.
 
     Entries are rows of coefficient 4-tuples [a, b, c, d]; the matrix must
     be of a size :class:`GateMatrix` supports and unitary up to a positive
-    real scale, or the construction fails.
+    real scale, or the construction fails.  The name must be encodable as
+    UTF-8 and hold no control, line- or paragraph-separator character, as
+    the text report prints it.
     """
     if not isinstance(obj, dict):
         raise ValueError("gate document must be a JSON object")
@@ -367,6 +383,8 @@ def gate_from_json(obj) -> GateMatrix:
         name.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate, valid in JSON text
         raise ValueError("gate name must be encodable as UTF-8") from None
+    if _UNPRINTABLE.search(name):  # the raw name could forge report lines
+        raise ValueError("gate name must not hold control or line-separator characters")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ValueError("gate dimension must be an integer")

@@ -16,6 +16,7 @@ meaning +1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from typing import Iterator
@@ -91,17 +92,19 @@ class SignMonomial(namedtuple("SignMonomial", "sign mask")):
         return self.sign * parity(self.mask & ~index)
 
     def render(self, with_index: bool = True) -> str:
-        if not self.mask:
-            return "+1" if self.sign > 0 else "-1"
-        body = ".".join(
-            var_name(bit_var(bit), with_index)
-            for bit in range(self.mask.bit_length())
-            if self.mask >> bit & 1
-        )
-        return body if self.sign > 0 else f"-{body}"
+        return _render(self.sign, self.mask, bool(with_index))
 
     def __str__(self) -> str:
         return self.render()
+
+
+@functools.lru_cache(maxsize=1024)  # bounded: a mask may be any non-negative int
+def _render(sign: int, mask: int, with_index: bool) -> str:
+    if not mask:
+        return "+1" if sign > 0 else "-1"
+    bits = range(mask.bit_length())
+    body = ".".join(var_name(bit_var(bit), with_index) for bit in bits if mask >> bit & 1)
+    return body if sign > 0 else f"-{body}"
 
 
 class Triplet(namedtuple("Triplet", "x y z")):

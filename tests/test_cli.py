@@ -121,6 +121,29 @@ def test_derive_rejects_a_name_that_is_not_utf8(tmp_path, fmt):
     assert proc.stderr == "error: gate name must be encodable as UTF-8\n"
 
 
+@pytest.mark.parametrize("separator", ["\n", "\r", "\x1b", "\x85", "\u2028"])
+def test_derive_rejects_a_name_that_could_forge_report_lines(capsys, tmp_path, separator):
+    path = tmp_path / "forged.json"
+    doc = gate_to_json(GATES["H"])
+    doc["name"] = f"a{separator}status: faithful"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "derive", str(path), "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == "error: gate name must not hold control or line-separator characters\n"
+
+
+def test_derive_prints_a_name_with_spaces_and_non_ascii_letters(capsys, tmp_path):
+    path = tmp_path / "named.json"
+    doc = gate_to_json(GATES["H"])
+    doc["name"] = "Hadamard à λ"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(path))
+    assert code == 0 and err == ""
+    assert out.startswith("derivation report for Hadamard à λ (dim 2, ")
+    assert "hadamard à λ: ⟨x,y,z⟩ ↦ ⟨z, -y, x⟩" in out
+
+
 def test_derive_reads_a_gate_file_of_exactly_the_cap(capsys, tmp_path):
     text = json.dumps(gate_to_json(GATES["H"]))
     path = tmp_path / "padded.json"

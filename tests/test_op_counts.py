@@ -13,8 +13,8 @@ import pytest
 from hvlab import checks, qstate, triplets
 from hvlab.checks import oracle_checks, representation_checks
 from hvlab.cyclotomic import OMEGA, ONE, CycInt, dot
-from hvlab.derive import derive
-from hvlab.epr import contradiction_report
+from hvlab.derive import derivation_report, derive
+from hvlab.epr import contradiction_report, epr_report
 from hvlab.qstate import GATES, GateMatrix, Ket
 from hvlab.triplets import SignMonomial
 
@@ -127,6 +127,27 @@ def test_builds_per_contradiction_report(monkeypatch, builds):
     kets = count_calls(monkeypatch, "__init__", Ket)
     assert warm_count(builds, contradiction_report) <= 21
     assert warm_count(kets, contradiction_report) <= 3
+
+
+def test_contradiction_report_reads_its_predictions_once_per_process(monkeypatch):
+    # The singlet's three predictions are computed once per (ket, axis):
+    # 3 applies per call when each recomputed <v|s(x)s|v>.
+    applies = count_calls(monkeypatch, "apply", qstate)
+    assert warm_count(applies, contradiction_report) == 0
+
+
+def test_derivation_report_hashes_a_matrix_once_per_process(monkeypatch):
+    # The digest is computed once per matrix: one gate_to_json per call when
+    # each report re-serialised the matrix.
+    documents = count_calls(monkeypatch, "gate_to_json", qstate)
+    assert warm_count(documents, lambda: derivation_report(GATES["H"])) == 0
+
+
+def test_epr_report_renders_each_monomial_once_per_process(monkeypatch):
+    # Rendering is cached per (sign, mask, with_index): 32 variable names per
+    # call when each monomial spelled out its names again.
+    names = count_calls(monkeypatch, "var_name", triplets)
+    assert warm_count(names, lambda: epr_report(True)) == 0
 
 
 def test_contradiction_report_builds_no_gate(monkeypatch):

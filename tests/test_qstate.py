@@ -1,8 +1,10 @@
 """Exact state-vector oracle: eigenbasis, gates, classification, predictions."""
 
 import functools
+import hashlib
 import itertools
 import json
+import unicodedata
 
 import pytest
 from hypothesis import assume, given, settings
@@ -540,6 +542,65 @@ def test_predicts_opposite():
         predicts_opposite(eigenvector(BasisLabel.Z_PLUS), "z")
 
 
+# Kets for the cached predictions: entangled, product, opposite and scaled.
+PREDICTION_KETS = (
+    bell_psi_minus(),
+    bell_psi_minus().scaled(OMEGA),
+    Ket.of(1, 0, 0, 1),
+    tensor(eigenvector(BasisLabel.Z_PLUS), eigenvector(BasisLabel.Z_PLUS)),
+    tensor(eigenvector(BasisLabel.Z_PLUS), eigenvector(BasisLabel.Z_MINUS)),
+    tensor(eigenvector(BasisLabel.Y_PLUS), eigenvector(BasisLabel.Y_MINUS)),
+)
+
+
+def test_cached_predictions_match_the_uncached_computation():
+    predicts_opposite.cache_clear()
+    for v in PREDICTION_KETS:
+        for axis in ("x", "y", "z", "X"):
+            expected = predicts_opposite.__wrapped__(v, axis)
+            assert predicts_opposite(v, axis) == expected  # cold
+            assert predicts_opposite(v, axis) == expected  # warm
+    info = predicts_opposite.cache_info()
+    assert info.misses == info.hits == 4 * len(PREDICTION_KETS)
+
+
+def test_a_plain_tuple_equal_to_a_ket_never_hits_its_cache_entry():
+    bell = bell_psi_minus()
+    assert predicts_opposite(bell, "x")
+    plain = tuple(bell)
+    assert plain == bell and hash(plain) == hash(bell)
+    # A plain tuple has no entries, as before the prediction was cached.
+    with pytest.raises(AttributeError):
+        predicts_opposite(plain, "x")
+    matrix_digest(GATES["H"])
+    with pytest.raises(AttributeError):
+        matrix_digest(tuple(GATES["H"]))
+
+
+def reference_digest(g):
+    """SHA-256 of the canonical JSON of the dimension and entries."""
+    payload = {"dim": g.dim, "entries": [[list(e) for e in row] for row in g.entries]}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_cached_digest_matches_the_reference_cold_and_warm():
+    gates = list(GATES.values()) + [GATES["H"].scaled(OMEGA), kron(GATES["H"], GATES["S"])]
+    matrix_digest.cache_clear()
+    for g in gates:
+        expected = reference_digest(g)
+        assert matrix_digest(g) == expected  # cold
+        assert matrix_digest(g) == expected  # warm
+        assert matrix_digest(GateMatrix(g.entries, "renamed")) == expected
+    assert matrix_digest.cache_info().misses == len(gates)
+
+
+def test_memo_caches_are_bounded():
+    # Census streams new gates and kets; a bounded cache cannot grow with them.
+    for cached in (matrix_digest, predicts_opposite):
+        assert isinstance(cached.cache_info().maxsize, int)
+
+
 def test_gate_json_round_trip():
     doc = gate_to_json(GATES["CNOT"])
     again = gate_from_json(doc)
@@ -564,6 +625,20 @@ def test_gate_json_validation():
             gate_from_json(broken)
     with pytest.raises(ValueError):
         gate_from_json({"name": "bad", "dim": 2, "entries": [[[1, 0, 0, 0], [0, 0, 0, 0]], [[1, 0, 0, 0], [1, 0, 0, 0]]]})
+
+
+def test_gate_names_refuse_exactly_the_control_and_separator_characters():
+    # Categories Cc, Zl and Zp; every other character, spaces included, is kept.
+    refused = {
+        c for c in map(chr, range(0x110000)) if unicodedata.category(c) in ("Cc", "Zl", "Zp")
+    }
+    assert len(refused) == 67
+    good = gate_to_json(GATES["H"])
+    for c in sorted(refused):
+        with pytest.raises(ValueError, match="^gate name must not hold control"):
+            gate_from_json({**good, "name": f"a{c}b"})
+    for name in ("phase gate", "λ gate", "Ħ\u00a0é", " a b "):
+        assert gate_from_json({**good, "name": name}).name == name
 
 
 def test_load_gate(tmp_path):

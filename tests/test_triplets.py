@@ -44,6 +44,30 @@ def test_monomial_rendering():
     assert full.render() == "x1.y1.z1.x2.y2.z2"
 
 
+def reference_render(m, with_index=True):
+    """The render loop before rendering was cached: one name per set mask bit."""
+    if not m.mask:
+        return "+1" if m.sign > 0 else "-1"
+    body = ".".join(
+        var_name(bit_var(bit), with_index)
+        for bit in range(m.mask.bit_length())
+        if m.mask >> bit & 1
+    )
+    return body if m.sign > 0 else f"-{body}"
+
+
+def test_cached_rendering_matches_the_reference_loop():
+    # Each monomial is read twice in a row, so the second read is a cache hit.
+    for mask in range(1 << 9):
+        for sign in (-1, 1):
+            m = SignMonomial(sign, mask)
+            for with_index in (True, False):
+                expected = reference_render(m, with_index)
+                assert m.render(with_index) == expected
+                assert m.render(with_index) == expected
+    assert str(SignMonomial(-1, 0b101)) == reference_render(SignMonomial(-1, 0b101))
+
+
 def test_monomial_validation():
     with pytest.raises(ValueError):
         SignMonomial(0, 0)
